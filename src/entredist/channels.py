@@ -8,6 +8,7 @@ amplitude-damping channel; keeping it gives the full four-qubit dynamics.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import warnings
@@ -64,6 +65,8 @@ class InitialSpec:
         if self.alpha is None or self.beta is None:
             raise ValueError("pure spec needs both alpha and beta")
         a, b = complex(self.alpha), complex(self.beta)
+        if not (cmath.isfinite(a) and cmath.isfinite(b)):
+            raise ValueError(f"alpha={a} and beta={b} must be finite")
         norm2 = abs(a) ** 2 + abs(b) ** 2
         if abs(norm2 - 1.0) > NORM_ATOL:
             raise ValueError(f"|alpha|^2+|beta|^2 = {norm2} deviates from 1 beyond {NORM_ATOL}")
@@ -75,10 +78,7 @@ class InitialSpec:
         """Read {"alpha_re":..,"alpha_im":..,"beta_re":..,"beta_im":..} or {"mixed_system_file": path}."""
         if "mixed_system_file" in payload:
             path = Path(base_dir) / payload["mixed_system_file"]
-            state = json.loads(path.read_text())
-            data = np.asarray(state["re"], float) + 1j * np.asarray(state["im"], float)
-            dim = 2 ** int(state["n_qubits"])
-            return cls(mixed_system=DensityMatrix(data.reshape(dim, dim)))
+            return cls(mixed_system=DensityMatrix.from_json(json.loads(path.read_text())))
         alpha = complex(payload["alpha_re"], payload.get("alpha_im", 0.0))
         beta = complex(payload["beta_re"], payload.get("beta_im", 0.0))
         return cls(alpha=alpha, beta=beta)
@@ -123,23 +123,15 @@ def ad_unitary(p: float) -> np.ndarray:
     )
 
 
-def _embed_pair_unitary(u: np.ndarray, slots: tuple[int, int], n_qubits: int) -> np.ndarray:
-    """Lift a two-qubit unitary acting on ``slots`` to the full register."""
-    i, j = slots
-    others = [q for q in range(n_qubits) if q not in (i, j)]
-    big = kron(u, np.eye(2 ** (n_qubits - 2)))
-    order = [i, j, *others]
-    axes = [order.index(q) for q in range(n_qubits)]
-    t = big.reshape([2] * (2 * n_qubits))
-    t = t.transpose(axes + [n_qubits + a for a in axes])
-    return np.ascontiguousarray(t.reshape(2 ** n_qubits, 2 ** n_qubits))
+# Axes of kron(U_(S1,E1), U_(S2,E2)), whose slots run (S1, E1, S2, E2), in
+# register order (S1, S2, E1, E2), for the output and then the input index.
+_PAIRS_TO_REGISTER = (0, 2, 1, 3, 4, 6, 5, 7)
 
 
 def full_unitary(p1: float, p2: float, adjoint: bool = False) -> np.ndarray:
     """16x16 unitary applying the (S1,E1) dilation at p1 and (S2,E2) at p2."""
-    u1 = _embed_pair_unitary(ad_unitary(p1), (Subsystem.S1, Subsystem.E1), 4)
-    u2 = _embed_pair_unitary(ad_unitary(p2), (Subsystem.S2, Subsystem.E2), 4)
-    u = u2 @ u1
+    u = np.kron(ad_unitary(p1), ad_unitary(p2))
+    u = u.reshape([2] * 8).transpose(_PAIRS_TO_REGISTER).reshape(16, 16)
     return u.conj().T if adjoint else u
 
 

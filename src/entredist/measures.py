@@ -11,7 +11,7 @@ entanglement.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from .qcore import (
     numerical_rank,
     psd_sqrt,
     purity,
+    resolve_slots,
+    subsystem,
     vector_marginal,
 )
 
@@ -101,10 +103,9 @@ class Grouping:
     @classmethod
     def anchored_at(cls, i) -> "Grouping":
         """Canonical grouping for reference qubit i: j is its local partner."""
-        i = Subsystem[i] if isinstance(i, str) else Subsystem(int(i))
+        i = subsystem(i)
         j = i.partner
-        kl = tuple(sorted(set(ALL_SUBSYSTEMS) - {i, j}))
-        return cls(i, j, (Subsystem(kl[0]), Subsystem(kl[1])))
+        return cls(i, j, tuple(sorted(set(ALL_SUBSYSTEMS) - {i, j})))
 
 
 def _clamp_small_negative(value: float, atol: float, context: str) -> float:
@@ -164,11 +165,9 @@ def _side_a_slots(part, n_qubits: int) -> tuple[int, ...]:
         if len(labels) != n_qubits:
             raise ValueError(f"partition covers {len(labels)} labels but state has {n_qubits} qubits")
         return tuple(sorted(int(x) for x in part.side_a))
-    slots = tuple(sorted(int(Subsystem[x]) if isinstance(x, str) else int(x) for x in part))
-    if not slots or len(slots) >= n_qubits:
+    slots = resolve_slots(part, n_qubits)
+    if len(slots) >= n_qubits:
         raise ValueError(f"side A must be a proper non-empty subset of the {n_qubits} slots")
-    if len(set(slots)) != len(slots) or slots[0] < 0 or slots[-1] >= n_qubits:
-        raise ValueError(f"invalid side-A slots {slots} for {n_qubits} qubits")
     return slots
 
 
@@ -249,12 +248,7 @@ def three_tangle(psi3: PureState, ref: int = 0) -> float:
     one_to_rest = 4.0 * float(np.real(np.linalg.det(rho_i)))
     c_ij = concurrence(vector_marginal(vec, 3, tuple(sorted((ref, others[0])))))
     c_ik = concurrence(vector_marginal(vec, 3, tuple(sorted((ref, others[1])))))
-    tau = one_to_rest - c_ij ** 2 - c_ik ** 2
-    if -1e-7 <= tau < 0.0:
-        return 0.0
-    if tau < -1e-7:
-        warnings.warn(f"three-tangle = {tau:.3e} is negative beyond noise", EstimatorWarning)
-    return tau
+    return _clamp_small_negative(one_to_rest - c_ij ** 2 - c_ik ** 2, 1e-7, "three-tangle")
 
 
 def compress_pair_to_qubit(psi: PureState, pair) -> PureState:
@@ -267,7 +261,7 @@ def compress_pair_to_qubit(psi: PureState, pair) -> PureState:
     """
     if psi.n_qubits != 4:
         raise ValueError("compression expects a 4-qubit state")
-    pair_slots = tuple(sorted(int(Subsystem[x]) if isinstance(x, str) else int(x) for x in pair))
+    pair_slots = resolve_slots(pair, 4)
     if len(pair_slots) != 2:
         raise ValueError(f"pair must name two distinct subsystems, got {pair!r}")
     rho_pair = vector_marginal(psi.amplitudes, 4, pair_slots)
@@ -302,29 +296,62 @@ def effective_three_tangle(psi: PureState, grouping: Grouping) -> float:
 # Residual (monogamy-slack) quantities
 # ---------------------------------------------------------------------------
 
-def _pair_concurrences(state) -> dict[frozenset, float]:
-    out = {}
-    mat = as_matrix(state)
-    vec = state.amplitudes if isinstance(state, PureState) else None
-    for a in range(4):
-        for b in range(a + 1, 4):
-            if vec is not None:
-                rho = vector_marginal(vec, 4, (a, b))
-            else:
-                rho = matrix_marginal(mat, 4, (a, b))
-            out[frozenset({Subsystem(a), Subsystem(b)})] = concurrence(rho)
-    return out
+# The six pairs of register slots, in the order their table is built.
+_PAIRS = tuple((a, b) for a in range(4) for b in range(a + 1, 4))
+
+# Pairwise terms the (S1,E1)|(S2,E2) cut tangle loses to, in summation order.
+_PAIR_CUT_TERMS = ((1, 2), (0, 3), (0, 1), (2, 3))
+
+# Effective-qubit three-tangle columns and the qubit their grouping is anchored at.
+_EFFECTIVE = {"tau_eff_s1e1": Subsystem.S1, "tau_eff_s2e2": Subsystem.S2}
+
+# Anchored three-tangle columns, their reference qubit and the effective-tangle
+# column of the pair their grouping compresses.
+_ANCHORED = (
+    ("tau_u_s1_s2e2", Subsystem.S1, "tau_eff_s1e1"),
+    ("tau_u_s2_s1e1", Subsystem.S2, "tau_eff_s2e2"),
+    ("tau_u_e1_s2e2", Subsystem.E1, "tau_eff_s1e1"),
+    ("tau_u_e2_s1e1", Subsystem.E2, "tau_eff_s2e2"),
+)
 
 
-def _pair_tangle(state, estimator: str) -> float:
-    """Tangle across the (S1,E1)|(S2,E2) cut with the requested estimator."""
+def _pair_table(state):
+    """The six pair marginals, their signed and their squared concurrences, by slot pair."""
     if isinstance(state, PureState):
-        return tangle_pure(state, PAIR_CUT)
-    if estimator == "lb":
-        return tangle_lower_bound(state, PAIR_CUT)
-    if estimator == "qp":
-        return tangle_quasipure(state, PAIR_CUT)
-    raise ValueError(f"unknown pair-cut estimator {estimator!r}")
+        marginals = {ab: vector_marginal(state.amplitudes, 4, ab) for ab in _PAIRS}
+    else:
+        mat = as_matrix(state)
+        marginals = {ab: matrix_marginal(mat, 4, ab) for ab in _PAIRS}
+    gamma = {ab: concurrence_signed(m) for ab, m in marginals.items()}
+    c2 = {ab: max(0.0, g) ** 2 for ab, g in gamma.items()}
+    return marginals, gamma, c2
+
+
+def _pair_cut_rank(marginals) -> int:
+    return numerical_rank(marginals[(0, 2)], 1e-6)
+
+
+def _residual_pair(state, estimator: str, marginals, c2) -> float:
+    """Pair-cut tangle, by the requested estimator on mixed input, less the pairwise terms."""
+    if _pair_cut_rank(marginals) > 2:
+        warnings.warn("(S1,E1) marginal has rank above two; residual is not certified")
+    if isinstance(state, PureState):
+        big = tangle_pure(state, PAIR_CUT)
+    elif estimator == "lb":
+        big = tangle_lower_bound(state, PAIR_CUT)
+    elif estimator == "qp":
+        big = tangle_quasipure(state, PAIR_CUT)
+    else:
+        raise ValueError(f"unknown pair-cut estimator {estimator!r}")
+    return big - sum(c2[ab] for ab in _PAIR_CUT_TERMS)
+
+
+def _residual_single(state, i: Subsystem, c2) -> float:
+    if isinstance(state, PureState):
+        big = tangle_pure(state, (int(i),))
+    else:
+        big = tangle_quasipure(state, (int(i),))
+    return big - sum(c2[tuple(sorted((i, j)))] for j in ALL_SUBSYSTEMS if j != i)
 
 
 def residual_pair_cut(state, estimator: str = "lb") -> float:
@@ -334,30 +361,29 @@ def residual_pair_cut(state, estimator: str = "lb") -> float:
     the quasi-pure estimate when ``estimator="qp"``).  A pair marginal of
     rank above two voids the monogamy guarantee, so it only warns.
     """
-    if numerical_rank(matrix_marginal(as_matrix(state), 4, (0, 2)), 1e-6) > 2:
-        warnings.warn("(S1,E1) marginal has rank above two; residual is not certified")
-    pairs = _pair_concurrences(state)
-    big = _pair_tangle(state, estimator)
-    return big - sum(
-        pairs[frozenset(p)] ** 2
-        for p in ({Subsystem.S2, Subsystem.E1}, {Subsystem.S1, Subsystem.E2},
-                  {Subsystem.S1, Subsystem.S2}, {Subsystem.E1, Subsystem.E2})
-    )
+    marginals, _, c2 = _pair_table(state)
+    return _residual_pair(state, estimator, marginals, c2)
 
 
 def residual_single_qubit(state, i) -> float:
     """Residual entanglement of qubit i versus the rest beyond pairwise terms."""
-    i = Subsystem[i] if isinstance(i, str) else Subsystem(int(i))
-    if isinstance(state, PureState):
-        big = tangle_pure(state, (int(i),))
-    else:
-        big = tangle_quasipure(state, (int(i),))
-    pairs = _pair_concurrences(state)
-    return big - sum(pairs[frozenset({i, j})] ** 2 for j in ALL_SUBSYSTEMS if j != i)
+    return _residual_single(state, subsystem(i), _pair_table(state)[2])
 
 
-def _reduced_three_tangle_raw(psi: PureState, grouping: Grouping) -> float:
-    return residual_single_qubit(psi, grouping.i) - effective_three_tangle(psi, grouping)
+def _anchored_tangle(residual: float, tau_eff: float, i: Subsystem) -> tuple[float, float]:
+    """Residual of i less its grouping's effective three-tangle, raw and noise-clamped."""
+    raw = residual - tau_eff
+    return raw, _clamp_small_negative(raw, CLAMP_ATOL, f"reduced three-tangle at {i.name}")
+
+
+def _effective_tangles(psi: PureState) -> dict[str, float]:
+    return {col: effective_three_tangle(psi, Grouping.anchored_at(i))
+            for col, i in _EFFECTIVE.items()}
+
+
+def _anchored_tangles(residuals: dict, effective: dict) -> dict[str, tuple[float, float]]:
+    """Every anchored three-tangle column from the four residuals and two effective tangles."""
+    return {col: _anchored_tangle(residuals[i], effective[eff], i) for col, i, eff in _ANCHORED}
 
 
 def reduced_three_tangle(psi: PureState, grouping: Grouping) -> float:
@@ -366,13 +392,17 @@ def reduced_three_tangle(psi: PureState, grouping: Grouping) -> float:
     Subtracts the effective-qubit three-tangle from the single-qubit residual;
     unlike the pure three-tangle this is not permutation invariant in i.
     """
-    raw = _reduced_three_tangle_raw(psi, grouping)
-    return _clamp_small_negative(raw, CLAMP_ATOL, f"reduced three-tangle at {grouping.i.name}")
+    residual = residual_single_qubit(psi, grouping.i)
+    return _anchored_tangle(residual, effective_three_tangle(psi, grouping), grouping.i)[1]
 
 
 @dataclass(frozen=True)
 class ResidualDecomposition:
-    """Six-term split of the pair-cut residual, plus its consistency check."""
+    """Six-term split of the pair-cut residual, plus its consistency check.
+
+    ``reduced`` is keyed by the ``tau_u_*`` and ``effective`` by the
+    ``tau_eff_*`` sweep CSV columns.
+    """
 
     reduced: dict[str, float]
     effective: dict[str, float]
@@ -387,19 +417,11 @@ def decompose_pair_residual(psi: PureState, atol: float = 1e-6) -> ResidualDecom
     The half-sum of the six terms must reproduce the residual itself; a
     discrepancy beyond ``atol`` raises with both sides reported.
     """
-    effective = {
-        "S1E1(S2E2)": effective_three_tangle(psi, Grouping.anchored_at(Subsystem.S1)),
-        "S2E2(S1E1)": effective_three_tangle(psi, Grouping.anchored_at(Subsystem.S2)),
-    }
-    raw = {}
-    reduced = {}
-    for i in ALL_SUBSYSTEMS:
-        g = Grouping.anchored_at(i)
-        key = f"{i.name}:{g.pair_kl[0].name}{g.pair_kl[1].name}"
-        eff = effective["S1E1(S2E2)"] if i in (Subsystem.S1, Subsystem.E1) else effective["S2E2(S1E1)"]
-        raw[key] = residual_single_qubit(psi, i) - eff
-        reduced[key] = _clamp_small_negative(raw[key], CLAMP_ATOL, f"reduced three-tangle at {i.name}")
-    half_sum = 0.5 * (sum(raw.values()) + sum(effective.values()))
+    c2 = _pair_table(psi)[2]
+    effective = _effective_tangles(psi)
+    residuals = {i: _residual_single(psi, i, c2) for i in ALL_SUBSYSTEMS}
+    anchored = _anchored_tangles(residuals, effective)
+    half_sum = 0.5 * (sum(raw for raw, _ in anchored.values()) + sum(effective.values()))
     residual = residual_pair_cut(psi)
     discrepancy = abs(half_sum - residual)
     if discrepancy > atol:
@@ -407,6 +429,7 @@ def decompose_pair_residual(psi: PureState, atol: float = 1e-6) -> ResidualDecom
             f"residual decomposition mismatch: half-sum {half_sum!r} vs residual {residual!r} "
             f"(|diff| = {discrepancy:.3e} > {atol})"
         )
+    reduced = {column: tau for column, (_, tau) in anchored.items()}
     return ResidualDecomposition(reduced, effective, half_sum, residual, discrepancy)
 
 
@@ -427,12 +450,13 @@ def monogamy_slacks(state) -> MonogamyReport:
     all slacks are exact; on mixed input they inherit the estimators and may
     dip below zero.
     """
-    one_vs_rest = {i.name: residual_single_qubit(state, i) for i in ALL_SUBSYSTEMS}
-    rank = numerical_rank(matrix_marginal(as_matrix(state), 4, (0, 2)), 1e-6)
+    marginals, _, c2 = _pair_table(state)
+    one_vs_rest = {i.name: _residual_single(state, i, c2) for i in ALL_SUBSYSTEMS}
+    rank = _pair_cut_rank(marginals)
     if rank > 2:
         return MonogamyReport(one_vs_rest, None,
                               f"(S1,E1) marginal rank {rank} > 2; pair-cut check skipped")
-    return MonogamyReport(one_vs_rest, residual_pair_cut(state))
+    return MonogamyReport(one_vs_rest, _residual_pair(state, "lb", marginals, c2))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +486,10 @@ def dicke_witness(state) -> tuple[float, bool]:
 
 @dataclass(frozen=True)
 class TangleReport:
-    """Every measure of interest for one state along the damping sweep."""
+    """Every measure of one state along the damping sweep.
+
+    The fields are the numeric columns of ``sweep.csv``, in the same order.
+    """
 
     p: float
     c2_s1s2: float
@@ -473,11 +500,18 @@ class TangleReport:
     gamma_e1e2: float
     c2_pair_lb: float
     residual_pair: float
-    residual_i: dict[str, float] = field(repr=False)
-    tau_underline: dict[str, float] = field(repr=False)
-    tau_effective: dict[str, float] = field(repr=False)
-    dicke_fidelity: float = 0.0
-    genuine4: bool = False
+    residual_s1: float
+    residual_s2: float
+    residual_e1: float
+    residual_e2: float
+    tau_u_s1_s2e2: float
+    tau_u_s2_s1e1: float
+    tau_u_e1_s2e2: float
+    tau_u_e2_s1e1: float
+    tau_eff_s1e1: float
+    tau_eff_s2e2: float
+    dicke_fidelity: float
+    genuine4: bool
 
 
 def compute_report(state, p: float, estimator_pair: str = "lb") -> TangleReport:
@@ -489,53 +523,20 @@ def compute_report(state, p: float, estimator_pair: str = "lb") -> TangleReport:
     vanish identically on the damped family this pipeline sweeps, and the
     compression they need is only defined for pure global states.
     """
-    pure = isinstance(state, PureState)
-    mat = as_matrix(state)
-    vec = state.amplitudes if pure else None
-
-    def marg(a, b):
-        if vec is not None:
-            return vector_marginal(vec, 4, (a, b))
-        return matrix_marginal(mat, 4, (a, b))
-
-    g_s1s2 = concurrence_signed(marg(0, 1))
-    g_e1e2 = concurrence_signed(marg(2, 3))
-    c_s1e2 = concurrence(marg(0, 3))
-    c_s2e1 = concurrence(marg(1, 2))
-
-    residual_i = {i.name: residual_single_qubit(state, i) for i in ALL_SUBSYSTEMS}
-
-    if pure:
-        tau_eff = {
-            "S1E1(S2E2)": effective_three_tangle(state, Grouping.anchored_at(Subsystem.S1)),
-            "S2E2(S1E1)": effective_three_tangle(state, Grouping.anchored_at(Subsystem.S2)),
-        }
+    marginals, gamma, c2 = _pair_table(state)
+    residuals = {i: _residual_single(state, i, c2) for i in ALL_SUBSYSTEMS}
+    if isinstance(state, PureState):
+        effective = _effective_tangles(state)
     else:
-        tau_eff = {"S1E1(S2E2)": 0.0, "S2E2(S1E1)": 0.0}
-
-    tau_under = {}
-    for i in ALL_SUBSYSTEMS:
-        g = Grouping.anchored_at(i)
-        key = f"{i.name}:{g.pair_kl[0].name}{g.pair_kl[1].name}"
-        eff = tau_eff["S1E1(S2E2)"] if i in (Subsystem.S1, Subsystem.E1) else tau_eff["S2E2(S1E1)"]
-        tau_under[key] = _clamp_small_negative(
-            residual_i[i.name] - eff, CLAMP_ATOL, f"reduced three-tangle at {i.name}"
-        )
-
+        effective = dict.fromkeys(_EFFECTIVE, 0.0)
     fid, genuine = dicke_witness(state)
     return TangleReport(
-        p=float(p),
-        c2_s1s2=max(0.0, g_s1s2) ** 2,
-        c2_e1e2=max(0.0, g_e1e2) ** 2,
-        c2_s1e2=c_s1e2 ** 2,
-        c2_s2e1=c_s2e1 ** 2,
-        gamma_s1s2=g_s1s2,
-        gamma_e1e2=g_e1e2,
+        p=float(p), c2_s1s2=c2[0, 1], c2_e1e2=c2[2, 3], c2_s1e2=c2[0, 3], c2_s2e1=c2[1, 2],
+        gamma_s1s2=gamma[0, 1], gamma_e1e2=gamma[2, 3],
         c2_pair_lb=tangle_lower_bound(state, PAIR_CUT),
-        residual_pair=residual_pair_cut(state, estimator=estimator_pair),
-        residual_i=residual_i,
-        tau_underline=tau_under,
-        tau_effective=tau_eff,
-        dicke_fidelity=fid,
-        genuine4=genuine,
+        residual_pair=_residual_pair(state, estimator_pair, marginals, c2),
+        **{f"residual_{i.name.lower()}": value for i, value in residuals.items()},
+        **{col: tau for col, (_, tau) in _anchored_tangles(residuals, effective).items()},
+        **effective,
+        dicke_fidelity=fid, genuine4=genuine,
     )

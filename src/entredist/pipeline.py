@@ -12,7 +12,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -56,34 +56,9 @@ __all__ = [
 
 ZERO_TOL = 1e-9  # exact zeros exist analytically; anything above this is live
 
-CSV_COLUMNS = (
-    "p",
-    "c2_s1s2",
-    "c2_e1e2",
-    "c2_s1e2",
-    "c2_s2e1",
-    "gamma_s1s2",
-    "gamma_e1e2",
-    "c2_pair_lb",
-    "residual_pair",
-    "residual_s1",
-    "residual_s2",
-    "residual_e1",
-    "residual_e2",
-    "tau_u_s1_s2e2",
-    "tau_u_s2_s1e1",
-    "tau_u_e1_s2e2",
-    "tau_u_e2_s1e1",
-    "tau_eff_s1e1",
-    "tau_eff_s2e2",
-    "dicke_fidelity",
-    "genuine4",
-    "estimator_pair",
-    "estimator_unbalanced",
-    "tomography",
-    "seed",
-    "error",
-)
+# The numeric columns are the report's fields; provenance follows them.
+CSV_COLUMNS = tuple(f.name for f in fields(TangleReport)) + (
+    "estimator_pair", "estimator_unbalanced", "tomography", "seed", "error")
 
 FIGURE_COLUMNS = {
     "fig2": ("p", "c2_s1s2", "c2_e1e2", "residual_pair", "gamma_s1s2", "gamma_e1e2"),
@@ -108,8 +83,8 @@ class SweepConfig:
         ps = tuple(float(p) for p in self.p_values)
         if len(ps) < 2:
             raise ValueError("grid needs at least 2 points")
-        if min(ps) < 0.0 or max(ps) > 1.0:
-            raise ValueError("grid must lie within [0, 1]")
+        if not all(0.0 <= p <= 1.0 for p in ps):  # also false for NaN
+            raise ValueError("grid must be finite and lie within [0, 1]")
         if self.estimator not in ("lb", "qp"):
             raise ValueError(f"estimator must be 'lb' or 'qp', got {self.estimator!r}")
         if self.shots < 1:
@@ -166,27 +141,17 @@ class SweepRow:
     error: str | None = None
 
     def to_record(self) -> dict:
-        rec = {name: "" for name in CSV_COLUMNS}
-        rec["p"] = self.p
-        rec["estimator_pair"] = self.estimator_pair
-        rec["estimator_unbalanced"] = self.estimator_unbalanced
-        rec["tomography"] = "true" if self.tomography else "false"
-        rec["seed"] = "" if self.seed is None else self.seed
-        rec["error"] = self.error or ""
-        r = self.report
-        if r is None:
-            return rec
+        rec = dict.fromkeys(CSV_COLUMNS, "")
+        if self.report is not None:
+            rec.update(asdict(self.report))
+            rec["genuine4"] = "true" if self.report.genuine4 else "false"
         rec.update(
-            c2_s1s2=r.c2_s1s2, c2_e1e2=r.c2_e1e2, c2_s1e2=r.c2_s1e2, c2_s2e1=r.c2_s2e1,
-            gamma_s1s2=r.gamma_s1s2, gamma_e1e2=r.gamma_e1e2,
-            c2_pair_lb=r.c2_pair_lb, residual_pair=r.residual_pair,
-            residual_s1=r.residual_i["S1"], residual_s2=r.residual_i["S2"],
-            residual_e1=r.residual_i["E1"], residual_e2=r.residual_i["E2"],
-            tau_u_s1_s2e2=r.tau_underline["S1:S2E2"], tau_u_s2_s1e1=r.tau_underline["S2:S1E1"],
-            tau_u_e1_s2e2=r.tau_underline["E1:S2E2"], tau_u_e2_s1e1=r.tau_underline["E2:S1E1"],
-            tau_eff_s1e1=r.tau_effective["S1E1(S2E2)"], tau_eff_s2e2=r.tau_effective["S2E2(S1E1)"],
-            dicke_fidelity=r.dicke_fidelity,
-            genuine4="true" if r.genuine4 else "false",
+            p=self.p,
+            estimator_pair=self.estimator_pair,
+            estimator_unbalanced=self.estimator_unbalanced,
+            tomography="true" if self.tomography else "false",
+            seed="" if self.seed is None else self.seed,
+            error=self.error or "",
         )
         return rec
 
@@ -268,32 +233,30 @@ def _format(value) -> str:
     return str(value)
 
 
-def emit_csv(rows, path) -> None:
-    """Fixed-column CSV at 12 significant digits; bytes are deterministic."""
+def _write_columns(path, columns, records, what: str) -> None:
+    """CSV of the given columns of each record; wraps write failures with the path."""
     path = Path(path)
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for row in rows:
-                rec = row.to_record()
-                writer.writerow([_format(rec[name]) for name in CSV_COLUMNS])
+            writer.writerow(columns)
+            for rec in records:
+                writer.writerow([_format(rec[name]) for name in columns])
     except OSError as exc:
-        raise OSError(f"cannot write sweep CSV to {path}: {exc}") from exc
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
+
+
+def emit_csv(rows, path) -> None:
+    """Fixed-column CSV at 12 significant digits; bytes are deterministic."""
+    _write_columns(path, CSV_COLUMNS, (row.to_record() for row in rows), "sweep CSV")
 
 
 def emit_plotdata(rows, figure: str, path) -> None:
     """Column subset used by one of the three figures, same formatting rules."""
     if figure not in FIGURE_COLUMNS:
         raise ValueError(f"unknown figure {figure!r}; expected one of {sorted(FIGURE_COLUMNS)}")
-    columns = FIGURE_COLUMNS[figure]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            rec = row.to_record()
-            rec["witness_threshold"] = 2.0 / 3.0
-            writer.writerow([_format(rec[name]) for name in columns])
+    records = ({**row.to_record(), "witness_threshold": 2.0 / 3.0} for row in rows)
+    _write_columns(path, FIGURE_COLUMNS[figure], records, f"{figure} plot data")
 
 
 def rows_to_json(rows) -> list[dict]:
@@ -325,10 +288,6 @@ def write_manifest(config: SweepConfig, out_dir) -> None:
 # ---------------------------------------------------------------------------
 # Self-checks behind the `check-invariants` CLI subcommand
 # ---------------------------------------------------------------------------
-
-def _series(rows, column):
-    return [(row.p, row.to_record()[column]) for row in rows if row.report is not None]
-
 
 def invariant_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     """Battery of structural identities; returns (name, passed, detail) triples."""

@@ -19,6 +19,8 @@ import numpy as np
 __all__ = [
     "Subsystem",
     "ALL_SUBSYSTEMS",
+    "subsystem",
+    "resolve_slots",
     "Partition",
     "PureState",
     "DensityMatrix",
@@ -70,15 +72,18 @@ _PARTNER = {
 ALL_SUBSYSTEMS = (Subsystem.S1, Subsystem.S2, Subsystem.E1, Subsystem.E2)
 
 
-def _resolve_slots(labels, n_qubits: int) -> tuple[int, ...]:
+def subsystem(label) -> Subsystem:
+    """The subsystem a label names: a :class:`Subsystem`, its name ("S1") or its slot index."""
+    return Subsystem[label] if isinstance(label, str) else Subsystem(int(label))
+
+
+def resolve_slots(labels, n_qubits: int) -> tuple[int, ...]:
     """Normalize labels/slot indices to a sorted tuple of register slots."""
     if isinstance(labels, (Subsystem, int, str)):
         labels = (labels,)
     slots = []
     for lab in labels:
-        if isinstance(lab, str):
-            lab = Subsystem[lab]
-        slot = int(lab)
+        slot = int(subsystem(lab))
         if not 0 <= slot < n_qubits:
             raise ValueError(f"unknown subsystem {lab!r} for {n_qubits} qubits")
         slots.append(slot)
@@ -97,10 +102,8 @@ class Partition:
     side_b: frozenset
 
     def __post_init__(self):
-        a = frozenset(Subsystem(int(x)) if not isinstance(x, Subsystem) else x
-                      for x in self.side_a)
-        b = frozenset(Subsystem(int(x)) if not isinstance(x, Subsystem) else x
-                      for x in self.side_b)
+        a = frozenset(subsystem(x) for x in self.side_a)
+        b = frozenset(subsystem(x) for x in self.side_b)
         if not a or not b:
             raise ValueError("both sides of a partition must be non-empty")
         if a & b:
@@ -115,7 +118,7 @@ class Partition:
 
     @classmethod
     def one_vs_rest(cls, i) -> "Partition":
-        i = Subsystem[i] if isinstance(i, str) else Subsystem(int(i))
+        i = subsystem(i)
         return cls(frozenset({i}), frozenset(set(ALL_SUBSYSTEMS) - {i}))
 
     def labels(self) -> frozenset:
@@ -125,7 +128,7 @@ class Partition:
 def _parse_labels(text: str) -> list[Subsystem]:
     if len(text) % 2 != 0:
         raise ValueError(f"cannot parse subsystem names from {text!r}")
-    return [Subsystem[text[k:k + 2]] for k in range(0, len(text), 2)]
+    return [subsystem(text[k:k + 2]) for k in range(0, len(text), 2)]
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -148,6 +151,8 @@ class PureState:
             raise ValueError(f"amplitude vector of length {amps.size} is not a 1..4 qubit state")
         if self.n_qubits and self.n_qubits != n:
             raise ValueError(f"n_qubits={self.n_qubits} does not match vector length {amps.size}")
+        if not np.isfinite(amps).all():
+            raise ValueError("state vector has non-finite amplitudes")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_ATOL:
             raise ValueError(f"state vector norm {norm} deviates from 1 beyond {NORM_ATOL}")
@@ -192,6 +197,8 @@ class DensityMatrix:
             raise ValueError(f"matrix of dimension {mat.shape[0]} is not a 1..4 qubit state")
         if self.n_qubits and self.n_qubits != n:
             raise ValueError(f"n_qubits={self.n_qubits} does not match dimension {mat.shape[0]}")
+        if not np.isfinite(mat).all():
+            raise ValueError("density matrix has non-finite entries")
         dev = float(np.abs(mat - mat.conj().T).max())
         if dev > HERMITIAN_ATOL:
             raise ValueError(f"matrix deviates from Hermitian by {dev} (> {HERMITIAN_ATOL})")
@@ -291,13 +298,13 @@ def partial_trace(rho, keep) -> DensityMatrix:
     """
     if isinstance(rho, PureState):
         n = rho.n_qubits
-        slots = _resolve_slots(keep, n)
+        slots = resolve_slots(keep, n)
         if len(slots) == n:
             return rho.density()
         return DensityMatrix(vector_marginal(rho.amplitudes, n, slots))
     if isinstance(rho, DensityMatrix):
         n = rho.n_qubits
-        slots = _resolve_slots(keep, n)
+        slots = resolve_slots(keep, n)
         if len(slots) == n:
             return rho
         return DensityMatrix(matrix_marginal(rho.entries, n, slots))

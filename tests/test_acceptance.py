@@ -112,7 +112,7 @@ def test_criterion_04_tangle_conservation():
 def test_criterion_05_effective_tangles_vanish(fine_sweep):
     rows, _ = fine_sweep
     worst = max(
-        max(r.report.tau_effective.values()) for r in rows
+        max(r.report.tau_eff_s1e1, r.report.tau_eff_s2e2) for r in rows
     )
     ok = worst < 1e-6
     verdict(5, "effective-qubit tangles vanish", ok, f"max = {worst:.2e} < 1e-6")
@@ -121,11 +121,11 @@ def test_criterion_05_effective_tangles_vanish(fine_sweep):
 def test_criterion_06_anchored_tangle_symmetry(fine_sweep):
     rows, _ = fine_sweep
     worst_s = max(
-        abs(r.report.tau_underline["S1:S2E2"] - r.report.tau_underline["S2:S1E1"])
+        abs(r.report.tau_u_s1_s2e2 - r.report.tau_u_s2_s1e1)
         for r in rows
     )
     worst_e = max(
-        abs(r.report.tau_underline["E1:S2E2"] - r.report.tau_underline["E2:S1E1"])
+        abs(r.report.tau_u_e1_s2e2 - r.report.tau_u_e2_s1e1)
         for r in rows
     )
     ok = worst_s < 1e-6 and worst_e < 1e-6

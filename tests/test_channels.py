@@ -167,3 +167,10 @@ def test_initial_spec_from_json(tmp_path):
     path.write_text(json.dumps(system.to_json()))
     spec = InitialSpec.from_json({"mixed_system_file": "system.json"}, base_dir=tmp_path)
     assert np.abs(spec.mixed_system.entries - system.entries).max() == 0.0
+
+
+def test_initial_spec_from_json_rejects_pure_fixture(tmp_path):
+    bell = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2))
+    (tmp_path / "system.json").write_text(json.dumps(bell.to_json()))
+    with pytest.raises(ValueError, match="pure state"):
+        InitialSpec.from_json({"mixed_system_file": "system.json"}, base_dir=tmp_path)

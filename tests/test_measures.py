@@ -359,7 +359,7 @@ def test_decompose_pair_residual_family_and_special_states(rng):
     out = decompose_pair_residual(GHZ4)
     assert out.discrepancy < 1e-6
     assert out.residual == pytest.approx(1.0, abs=1e-9)
-    assert out.effective["S1E1(S2E2)"] == pytest.approx(1.0, abs=1e-8)
+    assert out.effective["tau_eff_s1e1"] == pytest.approx(1.0, abs=1e-8)
 
     out = decompose_pair_residual(bell_pair_product())
     assert out.residual == pytest.approx(0.0, abs=1e-9)
@@ -484,10 +484,28 @@ def test_compute_report_pure_row():
     assert report.residual_pair == pytest.approx(INITIAL_TANGLE, abs=1e-9)
     assert report.c2_pair_lb == pytest.approx(INITIAL_TANGLE, abs=1e-9)
     assert report.genuine4
-    assert all(v < 1e-6 for v in report.tau_effective.values())
-    assert report.tau_underline["S1:S2E2"] == pytest.approx(
-        report.residual_i["S1"], abs=1e-6
-    )
+    assert all(v < 1e-6 for v in (report.tau_eff_s1e1, report.tau_eff_s2e2))
+    assert report.tau_u_s1_s2e2 == pytest.approx(report.residual_s1, abs=1e-6)
+
+
+@pytest.mark.parametrize("mixed, limit", [(False, 10), (True, 6)], ids=["pure", "mixed"])
+def test_compute_report_evaluates_each_concurrence_once(monkeypatch, mixed, limit):
+    # six pair marginals, plus two per effective three-tangle on pure rows
+    import entredist.measures as measures
+
+    spec = (InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, 0.82)) if mixed
+            else InitialSpec(alpha=ALPHA, beta=BETA))
+    state = evolve(initial_state(spec), 0.3, 0.3)
+    calls = []
+    real = measures.concurrence_signed
+
+    def counted(rho2):
+        calls.append(rho2)
+        return real(rho2)
+
+    monkeypatch.setattr(measures, "concurrence_signed", counted)
+    compute_report(state, 0.3)
+    assert len(calls) <= limit
 
 
 def test_compute_report_mixed_uses_estimators():
@@ -497,4 +515,4 @@ def test_compute_report_mixed_uses_estimators():
     qp_report = compute_report(rho, 0.45, estimator_pair="qp")
     assert lb_report.residual_pair == pytest.approx(INITIAL_TANGLE, abs=1e-6)
     assert qp_report.residual_pair == pytest.approx(INITIAL_TANGLE, abs=1e-4)
-    assert lb_report.tau_effective == {"S1E1(S2E2)": 0.0, "S2E2(S1E1)": 0.0}
+    assert (lb_report.tau_eff_s1e1, lb_report.tau_eff_s2e2) == (0.0, 0.0)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import ALPHA, BETA, INITIAL_TANGLE, P_ESB, P_ESD
 from entredist.channels import InitialSpec, mixed_system_with_purity
+from entredist.qcore import DensityMatrix, PureState
 from entredist.pipeline import (
     CSV_COLUMNS,
     SweepConfig,
@@ -42,7 +43,8 @@ def test_sweep_dynamics_shape(pure_rows):
     assert all(a >= b - 1e-12 for a, b in zip(c_ss, c_ss[1:]))  # monotone decay
     first, last = pure_rows[0].report, pure_rows[-1].report
     assert first.c2_s1s2 == pytest.approx(INITIAL_TANGLE, abs=1e-9)
-    assert all(abs(v) < 1e-9 for v in first.residual_i.values())
+    assert all(abs(v) < 1e-9 for v in (first.residual_s1, first.residual_s2,
+                                       first.residual_e1, first.residual_e2))
     # at p=1 the entanglement has swapped to the environments
     assert last.c2_e1e2 == pytest.approx(INITIAL_TANGLE, abs=1e-9)
     assert last.c2_s1s2 == 0.0
@@ -124,6 +126,11 @@ def test_emit_csv_structure_and_determinism(tmp_path, pure_rows):
 def test_emit_csv_raises_on_unwritable_path(pure_rows, tmp_path):
     with pytest.raises(OSError, match="no/such"):
         emit_csv(pure_rows[:2], tmp_path / "no" / "such" / "dir.csv")
+
+
+def test_emit_plotdata_raises_on_unwritable_path(pure_rows, tmp_path):
+    with pytest.raises(OSError, match="cannot write fig3 plot data to .*no/such"):
+        emit_plotdata(pure_rows[:2], "fig3", tmp_path / "no" / "such" / "fig3.csv")
 
 
 def test_emit_plotdata_columns(tmp_path, pure_rows):
@@ -225,6 +232,20 @@ def test_config_parsing_and_validation(tmp_path):
                                "p_grid": {"steps": 1}})
     with pytest.raises(ValueError, match="estimator"):
         pure_config(estimator="exact")
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PureState(np.full(16, NAN)),
+    lambda: DensityMatrix(np.full((4, 4), NAN)),
+    lambda: InitialSpec(alpha=NAN, beta=1.0),
+    lambda: SweepConfig(initial=InitialSpec(alpha=1.0, beta=0.0), p_values=(0.0, NAN)),
+], ids=["PureState", "DensityMatrix", "InitialSpec", "SweepConfig"])
+def test_validators_reject_non_finite_input(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 def test_mixed_fixture_thresholds_match_lab_window():
