@@ -21,9 +21,7 @@ from .qcore import (
     NORM_ATOL,
     DensityMatrix,
     PureState,
-    Subsystem,
     kron,
-    matrix_marginal,
 )
 
 __all__ = [
@@ -135,15 +133,17 @@ def full_unitary(p1: float, p2: float, adjoint: bool = False) -> np.ndarray:
     return u.conj().T if adjoint else u
 
 
+# Basis states |S1 S2 E1 E2> with either environment excited: E1, E2 are the low two bits.
+_ENV_EXCITED = (np.arange(16) & 0b11) != 0
+
+
 def _environment_population(state) -> float:
     """Total probability mass with either environment excited."""
     if isinstance(state, PureState):
         probs = np.abs(state.amplitudes) ** 2
-        mask = np.array([(k >> 1) & 1 or k & 1 for k in range(16)], dtype=bool)
-        return float(probs[mask].sum())
-    r1 = matrix_marginal(state.entries, 4, (int(Subsystem.E1),))
-    r2 = matrix_marginal(state.entries, 4, (int(Subsystem.E2),))
-    return float(r1[1, 1].real + r2[1, 1].real)
+    else:
+        probs = state.entries.diagonal().real
+    return float(probs[_ENV_EXCITED].sum())
 
 
 def evolve(state, p1: float, p2: float, adjoint: bool = False):

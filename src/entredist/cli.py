@@ -23,7 +23,7 @@ from .pipeline import (
     sweep,
     write_manifest,
 )
-from .qcore import DensityMatrix, fidelity_pure, partial_trace, purity, save_state
+from .qcore import DensityMatrix, fidelity_pure, partial_trace, psd_sqrt, purity, save_state
 from .tomography import mle_reconstruct, save_counts, save_settings_manifest, simulate_counts
 
 
@@ -83,6 +83,13 @@ def _cmd_thresholds(args) -> int:
     return 0
 
 
+def _uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """(tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clamped to [0, 1]."""
+    root = psd_sqrt(rho.entries)
+    value = float(psd_sqrt(root @ sigma.entries @ root).trace().real) ** 2
+    return min(max(value, 0.0), 1.0)
+
+
 def _cmd_tomo_roundtrip(args) -> int:
     config = _load_config(args)
     if not 0.0 <= args.p <= 1.0:
@@ -107,6 +114,7 @@ def _cmd_tomo_roundtrip(args) -> int:
         "iterations": result.iterations,
         "converged": result.converged,
         "log_likelihood": result.log_likelihood,
+        "gap_bound": result.gap_bound,
         "purity_true": purity(rho_true),
         "purity_mle": purity(result.rho),
         "concurrence_error_s1s2": abs(
@@ -116,10 +124,9 @@ def _cmd_tomo_roundtrip(args) -> int:
             concurrence(partial_trace(result.rho, ("E1", "E2")).entries)
             - concurrence(partial_trace(rho_true, ("E1", "E2")).entries)),
     }
-    if isinstance(state, DensityMatrix):
-        report["fidelity_between_spectra"] = None
-    else:
-        report["fidelity_to_true"] = fidelity_pure(result.rho, state)
+    report["fidelity_to_true"] = (_uhlmann_fidelity(rho_true, result.rho)
+                                  if isinstance(state, DensityMatrix)
+                                  else fidelity_pure(result.rho, state))
     (out / "report.json").write_text(json.dumps(report, indent=1))
     write_manifest(config, out)
     print(json.dumps(report, indent=1))

@@ -331,14 +331,17 @@ def _pair_cut_rank(marginals) -> int:
     return numerical_rank(marginals[(0, 2)], 1e-6)
 
 
-def _residual_pair(state, estimator: str, marginals, c2) -> float:
-    """Pair-cut tangle, by the requested estimator on mixed input, less the pairwise terms."""
+def _residual_pair(state, estimator: str, marginals, c2, lower_bound=None) -> float:
+    """Pair-cut tangle, by the requested estimator on mixed input, less the pairwise terms.
+
+    ``lower_bound`` is the pair-cut ``tangle_lower_bound`` when the caller has it already.
+    """
     if _pair_cut_rank(marginals) > 2:
         warnings.warn("(S1,E1) marginal has rank above two; residual is not certified")
     if isinstance(state, PureState):
         big = tangle_pure(state, PAIR_CUT)
     elif estimator == "lb":
-        big = tangle_lower_bound(state, PAIR_CUT)
+        big = tangle_lower_bound(state, PAIR_CUT) if lower_bound is None else lower_bound
     elif estimator == "qp":
         big = tangle_quasipure(state, PAIR_CUT)
     else:
@@ -524,6 +527,7 @@ def compute_report(state, p: float, estimator_pair: str = "lb") -> TangleReport:
     compression they need is only defined for pure global states.
     """
     marginals, gamma, c2 = _pair_table(state)
+    c2_pair_lb = tangle_lower_bound(state, PAIR_CUT)
     residuals = {i: _residual_single(state, i, c2) for i in ALL_SUBSYSTEMS}
     if isinstance(state, PureState):
         effective = _effective_tangles(state)
@@ -533,8 +537,8 @@ def compute_report(state, p: float, estimator_pair: str = "lb") -> TangleReport:
     return TangleReport(
         p=float(p), c2_s1s2=c2[0, 1], c2_e1e2=c2[2, 3], c2_s1e2=c2[0, 3], c2_s2e1=c2[1, 2],
         gamma_s1s2=gamma[0, 1], gamma_e1e2=gamma[2, 3],
-        c2_pair_lb=tangle_lower_bound(state, PAIR_CUT),
-        residual_pair=_residual_pair(state, estimator_pair, marginals, c2),
+        c2_pair_lb=c2_pair_lb,
+        residual_pair=_residual_pair(state, estimator_pair, marginals, c2, c2_pair_lb),
         **{f"residual_{i.name.lower()}": value for i, value in residuals.items()},
         **{col: tau for col, (_, tau) in _anchored_tangles(residuals, effective).items()},
         **effective,

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,18 @@ def test_evolve_warns_on_populated_environment():
     final = family_state(0.6)
     with pytest.warns(UserWarning, match="environment"):
         evolve(final, 0.1, 0.1)
+
+
+def test_evolve_counts_both_environments_excited_once():
+    # |0011> excites E1 and E2 at once: its 0.6e-9 weight is below the 1e-9 warning threshold
+    weight = 0.6e-9
+    amplitudes = np.zeros(16, dtype=complex)
+    amplitudes[0b0000], amplitudes[0b0011] = math.sqrt(1.0 - weight), math.sqrt(weight)
+    pure = PureState(amplitudes)
+    for state in (pure, pure.density()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evolve(state, 0.3, 0.3)
 
 
 def test_evolve_adjoint_reverses():

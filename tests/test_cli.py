@@ -64,6 +64,24 @@ def test_tomo_roundtrip_small(tmp_path, config_path, capsys):
     assert len(counts) == 257
 
 
+def test_tomo_roundtrip_mixed_reports_uhlmann_fidelity(tmp_path):
+    from entredist.channels import mixed_system_with_purity
+
+    (tmp_path / "system.json").write_text(
+        json.dumps(mixed_system_with_purity(ALPHA, BETA, 0.82).to_json()))
+    cfg = tmp_path / "mixed.json"
+    cfg.write_text(json.dumps({"mixed_system_file": "system.json", "seed": 3}))
+    out = tmp_path / "tomo"
+    assert main(["tomo-roundtrip", "--config", str(cfg), "--out", str(out),
+                 "--p", "0.3", "--shots", "100000"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert "fidelity_between_spectra" not in report
+    assert isinstance(report["fidelity_to_true"], float)
+    assert 0.9 < report["fidelity_to_true"] <= 1.0
+    assert report["gap_bound"] >= 0.0
+    assert report["converged"] == (report["gap_bound"] <= 1.0)
+
+
 def test_check_invariants_passes(capsys):
     assert main(["check-invariants", "--seed", "0"]) == 0
     out = capsys.readouterr().out

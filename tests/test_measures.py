@@ -496,16 +496,21 @@ def test_compute_report_evaluates_each_concurrence_once(monkeypatch, mixed, limi
     spec = (InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, 0.82)) if mixed
             else InitialSpec(alpha=ALPHA, beta=BETA))
     state = evolve(initial_state(spec), 0.3, 0.3)
-    calls = []
-    real = measures.concurrence_signed
+    calls = {"concurrence_signed": 0, "tangle_lower_bound": 0}
 
-    def counted(rho2):
-        calls.append(rho2)
-        return real(rho2)
+    def counting(name):
+        real = getattr(measures, name)
 
-    monkeypatch.setattr(measures, "concurrence_signed", counted)
-    compute_report(state, 0.3)
-    assert len(calls) <= limit
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(measures, name, counting(name))
+    compute_report(state, 0.3, estimator_pair="lb")
+    assert calls["concurrence_signed"] <= limit
+    assert calls["tangle_lower_bound"] <= 1  # c2_pair_lb is also the lb residual's tangle
 
 
 def test_compute_report_mixed_uses_estimators():

@@ -17,6 +17,8 @@ EXPECTED_SPANS = {
     "measures.effective_three_tangle",
     "qcore.marginal",
     "channels.evolve",
+    "tomography.simulate_counts",
+    "tomography.mle_reconstruct",
 }
 
 
@@ -31,9 +33,14 @@ def test_tracer_records_layer_spans():
     tracer = load_tracing().Tracer()
     tracer.install()
     try:
-        for initial in (InitialSpec(alpha=ALPHA, beta=BETA),
-                        InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, 0.82))):
-            config = pipeline.SweepConfig(initial=initial, p_values=tuple(np.linspace(0.0, 1.0, 3)))
+        pure = InitialSpec(alpha=ALPHA, beta=BETA)
+        for config in (
+            pipeline.SweepConfig(initial=pure, p_values=tuple(np.linspace(0.0, 1.0, 3))),
+            pipeline.SweepConfig(
+                initial=InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, 0.82)),
+                p_values=tuple(np.linspace(0.0, 1.0, 3))),
+            pipeline.SweepConfig(initial=pure, p_values=(0.25, 0.5), tomography=True, shots=2000),
+        ):
             rows = pipeline.sweep(config)
             assert all(row.error is None for row in rows)
     finally:

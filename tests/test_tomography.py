@@ -53,6 +53,13 @@ def test_projector_family_is_informationally_complete():
     assert np.linalg.matrix_rank(gram, tol=1e-10) == 256
 
 
+def test_setting_projectors_built_once_and_read_only():
+    first = setting_projectors()
+    assert setting_projectors() is first
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0, 0] = 0.0
+
+
 def test_born_probability_cases():
     rho = basis_state("0000").density()
     settings = enumerate_settings()
@@ -105,6 +112,15 @@ def test_linear_inversion_requires_all_settings():
         linear_inversion(records)
 
 
+def test_linear_inversion_rejects_counts_without_trace():
+    # no counts in the 16 all-Z/Z' settings, whose frequencies sum to the raw trace
+    z_basis = [s.setting_id for s in enumerate_settings() if set(s.selectors) <= {"Z", "Z'"}]
+    assert len(z_basis) == 16
+    records = [CountRecord(sid, 10, 0 if sid in z_basis else 3) for sid in range(256)]
+    with pytest.raises(ValueError, match="zero trace"):
+        linear_inversion(records)
+
+
 def test_linear_inversion_mixed_recovery_with_noise():
     rho = DensityMatrix(np.eye(16) / 16)
     records = simulate_counts(rho, 10**5, seed=9)
@@ -154,6 +170,43 @@ def test_mle_log_likelihood_reported_and_warns_on_iteration_cap():
     assert not capped.converged
     longer = mle_reconstruct(records, max_iter=500, tol=1e-12)
     assert longer.log_likelihood >= capped.log_likelihood  # monotone ascent
+
+
+def log_likelihood(rho, records):
+    probs = np.clip((setting_projectors().reshape(256, -1) @ rho.T.reshape(-1)).real,
+                    1e-12, 1.0 - 1e-12)
+    counts = np.array([r.count for r in records], dtype=float)
+    shots = np.array([r.shots for r in records], dtype=float)
+    return float(np.sum(counts * np.log(probs) + (shots - counts) * np.log1p(-probs)))
+
+
+@pytest.mark.filterwarnings("ignore:maximum-likelihood")
+@pytest.mark.parametrize("shots, seed", [(100_000, 5), (10**6, 2026)], ids=["1e5", "criterion12"])
+def test_mle_gap_bound_certifies_the_fit(shots, seed):
+    psi = family_state(0.5)
+    records = simulate_counts(psi.density(), shots, seed=seed)
+    result = mle_reconstruct(records)
+    fit = result.rho.entries
+    assert result.converged == (result.gap_bound <= 1.0)
+    assert result.log_likelihood == pytest.approx(log_likelihood(fit, records), abs=1e-6)
+    rng = np.random.default_rng(seed)
+    sigmas = [psi.density().entries, mle_reconstruct(records, tol=1e-3).rho.entries]
+    for _ in range(20):  # random states, from far off to within 1e-6 of the fit
+        g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        weight = 10.0 ** rng.uniform(-6.0, 0.0)
+        sigmas.append((1.0 - weight) * fit + weight * (g @ g.conj().T) / np.trace(g @ g.conj().T))
+    for sigma in sigmas:
+        assert log_likelihood(sigma, records) <= result.log_likelihood + result.gap_bound
+
+    capped = mle_reconstruct(records, max_iter=5)
+    assert not capped.converged and capped.gap_bound > 1.0
+
+
+def test_mle_default_fit_converges_on_criterion_12_counts():
+    records = simulate_counts(family_state(0.5).density(), 10**6, seed=2026)
+    result = mle_reconstruct(records)
+    assert result.converged and result.gap_bound <= 1.0
+    assert result.iterations <= 1000
 
 
 @pytest.mark.filterwarnings("ignore:maximum-likelihood")
