@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .qcore import (  # noqa: E402,F401
     ALL_SUBSYSTEMS,
     DensityMatrix,
-    Partition,
     PureState,
     Subsystem,
     basis_index,
@@ -42,7 +41,6 @@ from .measures import (  # noqa: E402,F401
     PAIR_CUT,
     DecompositionError,
     EstimatorWarning,
-    Grouping,
     MonogamyReport,
     RankConditionError,
     ResidualDecomposition,
@@ -56,7 +54,6 @@ from .measures import (  # noqa: E402,F401
     dicke_witness,
     effective_three_tangle,
     monogamy_slacks,
-    reduced_three_tangle,
     residual_pair_cut,
     residual_single_qubit,
     tangle_lower_bound,

@@ -126,11 +126,10 @@ def ad_unitary(p: float) -> np.ndarray:
 _PAIRS_TO_REGISTER = (0, 2, 1, 3, 4, 6, 5, 7)
 
 
-def full_unitary(p1: float, p2: float, adjoint: bool = False) -> np.ndarray:
+def full_unitary(p1: float, p2: float) -> np.ndarray:
     """16x16 unitary applying the (S1,E1) dilation at p1 and (S2,E2) at p2."""
     u = np.kron(ad_unitary(p1), ad_unitary(p2))
-    u = u.reshape([2] * 8).transpose(_PAIRS_TO_REGISTER).reshape(16, 16)
-    return u.conj().T if adjoint else u
+    return u.reshape([2] * 8).transpose(_PAIRS_TO_REGISTER).reshape(16, 16)
 
 
 # Basis states |S1 S2 E1 E2> with either environment excited: E1, E2 are the low two bits.
@@ -146,17 +145,16 @@ def _environment_population(state) -> float:
     return float(probs[_ENV_EXCITED].sum())
 
 
-def evolve(state, p1: float, p2: float, adjoint: bool = False):
+def evolve(state, p1: float, p2: float):
     """Apply the local dilations at strengths (p1, p2) to a four-qubit state.
 
     Pure states are mapped through the unitary, density matrices are
-    conjugated by it.  The forward map expects both environments in |0>;
-    populated environments only raise a warning (needed e.g. for the
-    ``adjoint`` backward evolution of a final state).
+    conjugated by it.  The map expects both environments in |0>; populated
+    environments only raise a warning.
     """
-    if not adjoint and _environment_population(state) > 1e-9:
+    if _environment_population(state) > 1e-9:
         warnings.warn("environment qubits are not in |0>; applying the dilation anyway")
-    u = full_unitary(p1, p2, adjoint=adjoint)
+    u = full_unitary(p1, p2)
     if isinstance(state, PureState):
         return PureState(u @ state.amplitudes)
     if isinstance(state, DensityMatrix):

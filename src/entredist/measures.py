@@ -2,8 +2,8 @@
 
 Covers the two-qubit concurrence and its signed precursor, pure-state and
 estimated mixed-state tangles across arbitrary bipartitions, the
-three-tangle and its extension to rank-two pair groupings treated as
-effective qubits, the residual (monogamy-slack) quantities, their six-term
+three-tangle and its extension to rank-two pairs treated as effective
+qubits, the residual (monogamy-slack) quantities, their six-term
 decomposition, and the Dicke-state witness of genuine four-partite
 entanglement.
 """
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import (
-    Partition,
     PureState,
     Subsystem,
     ALL_SUBSYSTEMS,
@@ -37,7 +36,6 @@ __all__ = [
     "EstimatorWarning",
     "RankConditionError",
     "DecompositionError",
-    "Grouping",
     "concurrence_signed",
     "concurrence",
     "tangle_pure",
@@ -48,7 +46,6 @@ __all__ = [
     "effective_three_tangle",
     "residual_pair_cut",
     "residual_single_qubit",
-    "reduced_three_tangle",
     "decompose_pair_residual",
     "ResidualDecomposition",
     "monogamy_slacks",
@@ -60,7 +57,8 @@ __all__ = [
     "PAIR_CUT",
 ]
 
-PAIR_CUT = Partition.split("S1E1", "S2E2")
+# The conserved (S1,E1)|(S2,E2) cut, named by its side A.
+PAIR_CUT = ("S1", "E1")
 
 # Sub-1e-6 negatives are floating noise from the estimators; anything more
 # negative is surfaced as a warning instead of silently clamped.
@@ -85,27 +83,6 @@ class RankConditionError(ValueError):
 
 class DecompositionError(RuntimeError):
     """The six-term residual decomposition failed its consistency check."""
-
-
-@dataclass(frozen=True)
-class Grouping:
-    """Reference qubit i, spectator j and the pair (k,l) treated as one qubit."""
-
-    i: Subsystem
-    j: Subsystem
-    pair_kl: tuple[Subsystem, Subsystem]
-
-    def __post_init__(self):
-        labels = {self.i, self.j, *self.pair_kl}
-        if len(labels) != 4 or labels != set(ALL_SUBSYSTEMS):
-            raise ValueError(f"grouping must cover all four subsystems once, got {self}")
-
-    @classmethod
-    def anchored_at(cls, i) -> "Grouping":
-        """Canonical grouping for reference qubit i: j is its local partner."""
-        i = subsystem(i)
-        j = i.partner
-        return cls(i, j, tuple(sorted(set(ALL_SUBSYSTEMS) - {i, j})))
 
 
 def _clamp_small_negative(value: float, atol: float, context: str) -> float:
@@ -160,11 +137,6 @@ def concurrence(rho2) -> float:
 # ---------------------------------------------------------------------------
 
 def _side_a_slots(part, n_qubits: int) -> tuple[int, ...]:
-    if isinstance(part, Partition):
-        labels = part.labels()
-        if len(labels) != n_qubits:
-            raise ValueError(f"partition covers {len(labels)} labels but state has {n_qubits} qubits")
-        return tuple(sorted(int(x) for x in part.side_a))
     slots = resolve_slots(part, n_qubits)
     if len(slots) >= n_qubits:
         raise ValueError(f"side A must be a proper non-empty subset of the {n_qubits} slots")
@@ -237,17 +209,18 @@ def tangle_quasipure(rho, part) -> float:
 # Three-tangle and effective-qubit compression
 # ---------------------------------------------------------------------------
 
-def three_tangle(psi3: PureState, ref: int = 0) -> float:
-    """Tripartite tangle of a pure 3-qubit state (independent of ``ref``)."""
+def three_tangle(psi3: PureState) -> float:
+    """Tripartite tangle 4 det rho_0 - C_01^2 - C_02^2 of a pure 3-qubit state.
+
+    The Coffman-Kundu-Wootters three-tangle is invariant under permutations
+    of the qubits, so slot 0 serves as the reference.
+    """
     if psi3.n_qubits != 3:
         raise ValueError(f"three_tangle needs a 3-qubit state, got {psi3.n_qubits}")
-    ref = int(ref)
-    others = [q for q in range(3) if q != ref]
     vec = psi3.amplitudes
-    rho_i = vector_marginal(vec, 3, (ref,))
-    one_to_rest = 4.0 * float(np.real(np.linalg.det(rho_i)))
-    c_ij = concurrence(vector_marginal(vec, 3, tuple(sorted((ref, others[0])))))
-    c_ik = concurrence(vector_marginal(vec, 3, tuple(sorted((ref, others[1])))))
+    one_to_rest = 4.0 * float(np.real(np.linalg.det(vector_marginal(vec, 3, (0,)))))
+    c_ij = concurrence(vector_marginal(vec, 3, (0, 1)))
+    c_ik = concurrence(vector_marginal(vec, 3, (0, 2)))
     return _clamp_small_negative(one_to_rest - c_ij ** 2 - c_ik ** 2, 1e-7, "three-tangle")
 
 
@@ -285,11 +258,9 @@ def compress_pair_to_qubit(psi: PureState, pair) -> PureState:
     return PureState(out.reshape(-1) / norm)
 
 
-def effective_three_tangle(psi: PureState, grouping: Grouping) -> float:
-    """Three-tangle of (i, j, effective qubit) after compressing grouping.pair_kl."""
-    compressed = compress_pair_to_qubit(psi, grouping.pair_kl)
-    kept = sorted(q for q in range(4) if q not in {int(s) for s in grouping.pair_kl})
-    return three_tangle(compressed, kept.index(int(grouping.i)))
+def effective_three_tangle(psi: PureState, pair) -> float:
+    """Three-tangle of the two other qubits and the effective qubit ``pair`` compresses to."""
+    return three_tangle(compress_pair_to_qubit(psi, pair))
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +273,11 @@ _PAIRS = tuple((a, b) for a in range(4) for b in range(a + 1, 4))
 # Pairwise terms the (S1,E1)|(S2,E2) cut tangle loses to, in summation order.
 _PAIR_CUT_TERMS = ((1, 2), (0, 3), (0, 1), (2, 3))
 
-# Effective-qubit three-tangle columns and the qubit their grouping is anchored at.
-_EFFECTIVE = {"tau_eff_s1e1": Subsystem.S1, "tau_eff_s2e2": Subsystem.S2}
+# Effective-qubit three-tangle columns and the pair each compresses to one qubit.
+_EFFECTIVE = {"tau_eff_s1e1": ("S2", "E2"), "tau_eff_s2e2": ("S1", "E1")}
 
 # Anchored three-tangle columns, their reference qubit and the effective-tangle
-# column of the pair their grouping compresses.
+# column that compresses the same pair.
 _ANCHORED = (
     ("tau_u_s1_s2e2", Subsystem.S1, "tau_eff_s1e1"),
     ("tau_u_s2_s1e1", Subsystem.S2, "tau_eff_s2e2"),
@@ -380,23 +351,12 @@ def _anchored_tangle(residual: float, tau_eff: float, i: Subsystem) -> tuple[flo
 
 
 def _effective_tangles(psi: PureState) -> dict[str, float]:
-    return {col: effective_three_tangle(psi, Grouping.anchored_at(i))
-            for col, i in _EFFECTIVE.items()}
+    return {col: effective_three_tangle(psi, pair) for col, pair in _EFFECTIVE.items()}
 
 
 def _anchored_tangles(residuals: dict, effective: dict) -> dict[str, tuple[float, float]]:
     """Every anchored three-tangle column from the four residuals and two effective tangles."""
     return {col: _anchored_tangle(residuals[i], effective[eff], i) for col, i, eff in _ANCHORED}
-
-
-def reduced_three_tangle(psi: PureState, grouping: Grouping) -> float:
-    """Tripartite entanglement of the mixed (i, k, l) reduction, anchored at i.
-
-    Subtracts the effective-qubit three-tangle from the single-qubit residual;
-    unlike the pure three-tangle this is not permutation invariant in i.
-    """
-    residual = residual_single_qubit(psi, grouping.i)
-    return _anchored_tangle(residual, effective_three_tangle(psi, grouping), grouping.i)[1]
 
 
 @dataclass(frozen=True)
@@ -420,12 +380,12 @@ def decompose_pair_residual(psi: PureState, atol: float = 1e-6) -> ResidualDecom
     The half-sum of the six terms must reproduce the residual itself; a
     discrepancy beyond ``atol`` raises with both sides reported.
     """
-    c2 = _pair_table(psi)[2]
+    marginals, _, c2 = _pair_table(psi)
     effective = _effective_tangles(psi)
     residuals = {i: _residual_single(psi, i, c2) for i in ALL_SUBSYSTEMS}
     anchored = _anchored_tangles(residuals, effective)
     half_sum = 0.5 * (sum(raw for raw, _ in anchored.values()) + sum(effective.values()))
-    residual = residual_pair_cut(psi)
+    residual = _residual_pair(psi, "lb", marginals, c2)
     discrepancy = abs(half_sum - residual)
     if discrepancy > atol:
         raise DecompositionError(

@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from .channels import InitialSpec, evolve, initial_state, random_family_state
 from .measures import (
-    Grouping,
     PAIR_CUT,
     TangleReport,
     compute_report,
@@ -34,7 +33,6 @@ from .measures import (
 )
 from .qcore import (
     DensityMatrix,
-    Subsystem,
     fidelity_pure,
     haar_state,
     numerical_rank,
@@ -331,8 +329,7 @@ def invariant_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     checks.append(("pair marginals stay rank-two", worst_rank <= 2, f"max rank {worst_rank}"))
 
     err = max(
-        max(effective_three_tangle(st, Grouping.anchored_at(Subsystem.S1)),
-            effective_three_tangle(st, Grouping.anchored_at(Subsystem.S2)))
+        max(effective_three_tangle(st, ("S2", "E2")), effective_three_tangle(st, ("S1", "E1")))
         for st in family
     )
     add("effective-qubit tangles vanish on the family", err, 1e-6)

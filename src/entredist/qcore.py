@@ -10,7 +10,7 @@ lives at vector index 12.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
 
@@ -21,7 +21,6 @@ __all__ = [
     "ALL_SUBSYSTEMS",
     "subsystem",
     "resolve_slots",
-    "Partition",
     "PureState",
     "DensityMatrix",
     "basis_state",
@@ -56,24 +55,14 @@ class Subsystem(IntEnum):
     E1 = 2
     E2 = 3
 
-    @property
-    def partner(self) -> "Subsystem":
-        """The subsystem locally coupled to this one (S1<->E1, S2<->E2)."""
-        return _PARTNER[self]
-
-
-_PARTNER = {
-    Subsystem.S1: Subsystem.E1,
-    Subsystem.E1: Subsystem.S1,
-    Subsystem.S2: Subsystem.E2,
-    Subsystem.E2: Subsystem.S2,
-}
 
 ALL_SUBSYSTEMS = (Subsystem.S1, Subsystem.S2, Subsystem.E1, Subsystem.E2)
 
 
 def subsystem(label) -> Subsystem:
     """The subsystem a label names: a :class:`Subsystem`, its name ("S1") or its slot index."""
+    if isinstance(label, str) and label not in Subsystem.__members__:
+        raise ValueError(f"unknown subsystem {label!r}")
     return Subsystem[label] if isinstance(label, str) else Subsystem(int(label))
 
 
@@ -94,43 +83,6 @@ def resolve_slots(labels, n_qubits: int) -> tuple[int, ...]:
     return tuple(sorted(slots))
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A bipartition of the register into two disjoint, non-empty groups."""
-
-    side_a: frozenset
-    side_b: frozenset
-
-    def __post_init__(self):
-        a = frozenset(subsystem(x) for x in self.side_a)
-        b = frozenset(subsystem(x) for x in self.side_b)
-        if not a or not b:
-            raise ValueError("both sides of a partition must be non-empty")
-        if a & b:
-            raise ValueError(f"partition sides overlap: {sorted(a & b)}")
-        object.__setattr__(self, "side_a", a)
-        object.__setattr__(self, "side_b", b)
-
-    @classmethod
-    def split(cls, side_a: str, side_b: str) -> "Partition":
-        """Build a partition from concatenated label names, e.g. ("S1E1", "S2E2")."""
-        return cls(frozenset(_parse_labels(side_a)), frozenset(_parse_labels(side_b)))
-
-    @classmethod
-    def one_vs_rest(cls, i) -> "Partition":
-        i = subsystem(i)
-        return cls(frozenset({i}), frozenset(set(ALL_SUBSYSTEMS) - {i}))
-
-    def labels(self) -> frozenset:
-        return self.side_a | self.side_b
-
-
-def _parse_labels(text: str) -> list[Subsystem]:
-    if len(text) % 2 != 0:
-        raise ValueError(f"cannot parse subsystem names from {text!r}")
-    return [subsystem(text[k:k + 2]) for k in range(0, len(text), 2)]
-
-
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex)
     out.setflags(write=False)
@@ -142,15 +94,13 @@ class PureState:
     """Normalized amplitude vector over 1..4 qubits, slot 0 most significant."""
 
     amplitudes: np.ndarray
-    n_qubits: int = 0
+    n_qubits: int = field(init=False)
 
     def __post_init__(self):
         amps = _readonly(np.asarray(self.amplitudes).reshape(-1))
         n = int(np.log2(amps.size))
         if 2 ** n != amps.size or not 1 <= n <= 4:
             raise ValueError(f"amplitude vector of length {amps.size} is not a 1..4 qubit state")
-        if self.n_qubits and self.n_qubits != n:
-            raise ValueError(f"n_qubits={self.n_qubits} does not match vector length {amps.size}")
         if not np.isfinite(amps).all():
             raise ValueError("state vector has non-finite amplitudes")
         norm = float(np.linalg.norm(amps))
@@ -186,7 +136,7 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix on 1..4 qubits."""
 
     entries: np.ndarray
-    n_qubits: int = 0
+    n_qubits: int = field(init=False)
 
     def __post_init__(self):
         mat = _readonly(np.asarray(self.entries))
@@ -195,8 +145,6 @@ class DensityMatrix:
         n = int(np.log2(mat.shape[0]))
         if 2 ** n != mat.shape[0] or not 1 <= n <= 4:
             raise ValueError(f"matrix of dimension {mat.shape[0]} is not a 1..4 qubit state")
-        if self.n_qubits and self.n_qubits != n:
-            raise ValueError(f"n_qubits={self.n_qubits} does not match dimension {mat.shape[0]}")
         if not np.isfinite(mat).all():
             raise ValueError("density matrix has non-finite entries")
         dev = float(np.abs(mat - mat.conj().T).max())
@@ -379,9 +327,9 @@ def state_from_json(payload: dict):
     data = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)
     dim = 2 ** n
     if data.size == dim:
-        return PureState(data, n)
+        return PureState(data)
     if data.size == dim * dim:
-        return DensityMatrix(data.reshape(dim, dim), n)
+        return DensityMatrix(data.reshape(dim, dim))
     raise ValueError(f"array length {data.size} matches neither a vector nor a matrix on {n} qubits")
 
 

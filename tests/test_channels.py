@@ -158,13 +158,6 @@ def test_evolve_counts_both_environments_excited_once():
             evolve(state, 0.3, 0.3)
 
 
-def test_evolve_adjoint_reverses():
-    psi = family_state(0.6)
-    back = evolve(psi, 0.6, 0.6, adjoint=True)
-    base = initial_state(InitialSpec(alpha=ALPHA, beta=BETA))
-    assert np.abs(back.amplitudes - base.amplitudes).max() < 1e-12
-
-
 def test_random_family_state_rank_condition(rng):
     for _ in range(10):
         psi = random_family_state(rng)

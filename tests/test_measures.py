@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,7 +14,6 @@ from oracles import (
 from entredist.measures import (
     PAIR_CUT,
     DecompositionError,
-    Grouping,
     RankConditionError,
     compress_pair_to_qubit,
     compute_report,
@@ -23,7 +24,6 @@ from entredist.measures import (
     dicke_witness,
     effective_three_tangle,
     monogamy_slacks,
-    reduced_three_tangle,
     residual_pair_cut,
     residual_single_qubit,
     tangle_lower_bound,
@@ -31,7 +31,13 @@ from entredist.measures import (
     tangle_quasipure,
     three_tangle,
 )
-from entredist.channels import mixed_system_with_purity, InitialSpec, initial_state, evolve
+from entredist.channels import (
+    InitialSpec,
+    evolve,
+    initial_state,
+    mixed_system_with_purity,
+    random_family_state,
+)
 from entredist.qcore import (
     DensityMatrix,
     PureState,
@@ -135,8 +141,15 @@ def test_tangle_pure_cases():
 
 
 def test_tangle_pure_rejects_bad_partition():
+    psi = family_state(0.5)
     with pytest.raises(ValueError):
-        tangle_pure(family_state(0.5), (0, 1, 2, 3))
+        tangle_pure(psi, (0, 1, 2, 3))
+    with pytest.raises(ValueError, match="empty"):
+        tangle_pure(psi, ())
+    with pytest.raises(ValueError, match="duplicate"):
+        tangle_pure(psi, ("S1", "S1"))
+    with pytest.raises(ValueError, match="unknown"):
+        tangle_pure(psi, ("S1", "E3"))
 
 
 def test_tangle_lower_bound_pure_matches_exact():
@@ -213,7 +226,9 @@ def test_three_tangle_product_times_bell():
 @given(seed=st.integers(0, 2**32 - 1))
 def test_three_tangle_permutation_invariant(seed):
     psi = haar_state(3, np.random.default_rng(seed))
-    values = [three_tangle(psi, ref) for ref in range(3)]
+    amps = psi.amplitudes.reshape(2, 2, 2)
+    values = [three_tangle(PureState(amps.transpose(axes).reshape(-1)))
+              for axes in itertools.permutations(range(3))]
     assert max(values) - min(values) < 1e-8
 
 
@@ -254,8 +269,8 @@ def test_compress_rejects_rank_three_pairs(rng):
 def test_effective_three_tangle_vanishes_on_family():
     for p in np.linspace(0.0, 1.0, 21):
         psi = family_state(p)
-        for i in (Subsystem.S1, Subsystem.S2):
-            assert effective_three_tangle(psi, Grouping.anchored_at(i)) < 1e-6
+        for pair in (("S2", "E2"), ("S1", "E1")):
+            assert effective_three_tangle(psi, pair) < 1e-6
 
 
 def test_effective_three_tangle_agrees_with_frozen_environment_route():
@@ -263,25 +278,18 @@ def test_effective_three_tangle_agrees_with_frozen_environment_route():
     # compression route must reproduce its plain three-tangle
     p = 0.41
     half = evolve(initial_state(InitialSpec(alpha=ALPHA, beta=BETA)), p, 0.0)
-    direct = three_tangle(compress_pair_to_qubit(half, ("S2", "E2")), 0)
-    full = effective_three_tangle(family_state(p), Grouping.anchored_at(Subsystem.S1))
+    direct = three_tangle(compress_pair_to_qubit(half, ("S2", "E2")))
+    full = effective_three_tangle(family_state(p), ("S2", "E2"))
     assert full == pytest.approx(direct, abs=1e-9)
 
 
 def test_effective_three_tangle_ghz4_and_bell_pairs():
-    g = Grouping(Subsystem.S1, Subsystem.S2, (Subsystem.E1, Subsystem.E2))
-    assert effective_three_tangle(GHZ4, g) == pytest.approx(1.0, abs=1e-9)
-    assert effective_three_tangle(
-        bell_pair_product(), Grouping.anchored_at(Subsystem.S1)
-    ) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_grouping_validation():
-    with pytest.raises(ValueError):
-        Grouping(Subsystem.S1, Subsystem.S1, (Subsystem.E1, Subsystem.E2))
-    g = Grouping.anchored_at("E2")
-    assert g.j is Subsystem.S2
-    assert g.pair_kl == (Subsystem.S1, Subsystem.E1)
+    assert effective_three_tangle(GHZ4, ("E1", "E2")) == pytest.approx(1.0, abs=1e-9)
+    assert effective_three_tangle(bell_pair_product(), ("S2", "E2")) == pytest.approx(
+        0.0, abs=1e-9
+    )
+    with pytest.raises(ValueError, match="duplicate"):
+        effective_three_tangle(GHZ4, ("E1", "E1"))
 
 
 # -- residuals ----------------------------------------------------------------
@@ -315,33 +323,29 @@ def test_residual_single_qubit_cases():
 
 def test_residual_single_equals_reduced_when_effective_vanishes():
     psi = family_state(0.5)
-    assert reduced_three_tangle(psi, Grouping.anchored_at(Subsystem.S1)) == pytest.approx(
+    assert compute_report(psi, 0.5).tau_u_s1_s2e2 == pytest.approx(
         residual_single_qubit(psi, Subsystem.S1), abs=1e-7
     )
 
 
 def test_reduced_three_tangle_zero_initially():
-    assert reduced_three_tangle(family_state(0.0), Grouping.anchored_at(Subsystem.S1)) == 0.0
+    assert compute_report(family_state(0.0), 0.0).tau_u_s1_s2e2 == 0.0
 
 
 def test_reduced_three_tangle_symmetry_pairs():
     for p in np.linspace(0.0, 1.0, 21):
-        psi = family_state(p)
-        s1 = reduced_three_tangle(psi, Grouping.anchored_at(Subsystem.S1))
-        s2 = reduced_three_tangle(psi, Grouping.anchored_at(Subsystem.S2))
-        e1 = reduced_three_tangle(psi, Grouping.anchored_at(Subsystem.E1))
-        e2 = reduced_three_tangle(psi, Grouping.anchored_at(Subsystem.E2))
-        assert abs(s1 - s2) < 1e-6 and abs(e1 - e2) < 1e-6
+        r = compute_report(family_state(p), p)
+        assert abs(r.tau_u_s1_s2e2 - r.tau_u_s2_s1e1) < 1e-6
+        assert abs(r.tau_u_e1_s2e2 - r.tau_u_e2_s1e1) < 1e-6
 
 
 def test_reduced_three_tangle_peak_locations():
     # dense-grid evaluation puts the maxima at p ~ 0.2745 and ~ 0.7255,
     # i.e. before death and after birth of the respective pairwise terms
     grid = np.linspace(0.0, 1.0, 401)
-    s_vals = [reduced_three_tangle(family_state(p), Grouping.anchored_at(Subsystem.S1))
-              for p in grid]
-    e_vals = [reduced_three_tangle(family_state(p), Grouping.anchored_at(Subsystem.E1))
-              for p in grid]
+    reports = [compute_report(family_state(p), p) for p in grid]
+    s_vals = [r.tau_u_s1_s2e2 for r in reports]
+    e_vals = [r.tau_u_e1_s2e2 for r in reports]
     p_s, p_e = grid[int(np.argmax(s_vals))], grid[int(np.argmax(e_vals))]
     assert p_s == pytest.approx(0.2745, abs=0.005)
     assert p_e == pytest.approx(0.7255, abs=0.005)
@@ -384,10 +388,21 @@ def test_decompose_pair_residual_reports_both_sides(monkeypatch):
     import entredist.measures as measures
 
     monkeypatch.setattr(
-        measures, "residual_pair_cut", lambda state, estimator="lb": 123.0
+        measures, "_residual_pair", lambda state, estimator, marginals, c2: 123.0
     )
     with pytest.raises(DecompositionError, match="half-sum"):
         decompose_pair_residual(family_state(0.3))
+
+
+def test_decomposition_terms_are_the_report_fields(rng):
+    # one route per number: the split and the sweep row agree bit for bit
+    for _ in range(25):
+        psi = random_family_state(rng)
+        out = decompose_pair_residual(psi)
+        report = compute_report(psi, 0.0)
+        for column, value in {**out.reduced, **out.effective}.items():
+            assert value == getattr(report, column), column
+        assert out.residual == report.residual_pair
 
 
 def test_monogamy_slacks_cases(rng):
@@ -488,13 +503,15 @@ def test_compute_report_pure_row():
     assert report.tau_u_s1_s2e2 == pytest.approx(report.residual_s1, abs=1e-6)
 
 
-@pytest.mark.parametrize("mixed, limit", [(False, 10), (True, 6)], ids=["pure", "mixed"])
-def test_compute_report_evaluates_each_concurrence_once(monkeypatch, mixed, limit):
-    # six pair marginals, plus two per effective three-tangle on pure rows
+@pytest.mark.parametrize("case, limit", [("pure", 10), ("mixed", 6), ("decompose", 10)],
+                         ids=["pure", "mixed", "decompose"])
+def test_compute_report_evaluates_each_concurrence_once(monkeypatch, case, limit):
+    # six pair marginals, plus two per effective three-tangle on pure rows;
+    # decompose_pair_residual needs the same ten as a pure report
     import entredist.measures as measures
 
-    spec = (InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, 0.82)) if mixed
-            else InitialSpec(alpha=ALPHA, beta=BETA))
+    spec = (InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, 0.82))
+            if case == "mixed" else InitialSpec(alpha=ALPHA, beta=BETA))
     state = evolve(initial_state(spec), 0.3, 0.3)
     calls = {"concurrence_signed": 0, "tangle_lower_bound": 0}
 
@@ -508,7 +525,10 @@ def test_compute_report_evaluates_each_concurrence_once(monkeypatch, mixed, limi
 
     for name in calls:
         monkeypatch.setattr(measures, name, counting(name))
-    compute_report(state, 0.3, estimator_pair="lb")
+    if case == "decompose":
+        decompose_pair_residual(state)
+    else:
+        compute_report(state, 0.3, estimator_pair="lb")
     assert calls["concurrence_signed"] <= limit
     assert calls["tangle_lower_bound"] <= 1  # c2_pair_lb is also the lb residual's tangle
 

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from conftest import BETA, family_state
 from entredist.qcore import (
     DensityMatrix,
-    Partition,
     PureState,
-    Subsystem,
     basis_index,
     basis_state,
     eig_hermitian,
@@ -120,17 +118,6 @@ def test_basis_index_convention():
     assert basis_index("1100") == 12
     psi = family_state(0.3)
     assert psi.amplitude("1100") == pytest.approx(BETA * 0.7, abs=1e-12)
-
-
-def test_partition_validation():
-    with pytest.raises(ValueError, match="overlap"):
-        Partition(frozenset({Subsystem.S1}), frozenset({Subsystem.S1, Subsystem.E1}))
-    with pytest.raises(ValueError, match="non-empty"):
-        Partition(frozenset(), frozenset({Subsystem.S1}))
-    part = Partition.split("S1E1", "S2E2")
-    assert part.side_a == frozenset({Subsystem.S1, Subsystem.E1})
-    single = Partition.one_vs_rest("S1")
-    assert single.side_b == frozenset({Subsystem.S2, Subsystem.E1, Subsystem.E2})
 
 
 def test_state_validation_errors():
