@@ -20,7 +20,6 @@ from .qcore import (  # noqa: E402,F401
     fidelity_pure,
     haar_state,
     kron,
-    load_state,
     numerical_rank,
     partial_trace,
     purity,
@@ -62,11 +61,9 @@ from .measures import (  # noqa: E402,F401
     three_tangle,
 )
 from .tomography import (  # noqa: E402,F401
+    SETTINGS,
     CountRecord,
-    MeasurementSetting,
     MleResult,
-    born_probability,
-    enumerate_settings,
     linear_inversion,
     load_counts,
     mle_reconstruct,
@@ -82,4 +79,6 @@ from .pipeline import (  # noqa: E402,F401
     find_threshold,
     invariant_checks,
     sweep,
+    thresholds,
+    write_sweep,
 )

@@ -41,6 +41,9 @@ def theta_to_p(theta: float) -> float:
     return s * s
 
 
+_AMPLITUDE_KEYS = ("alpha_re", "alpha_im", "beta_re", "beta_im")
+
+
 @dataclass(frozen=True)
 class InitialSpec:
     """Initial (S1,S2) system: either amplitudes alpha,beta or a mixed 2-qubit state.
@@ -75,6 +78,9 @@ class InitialSpec:
     def from_json(cls, payload: dict, base_dir=".") -> "InitialSpec":
         """Read {"alpha_re":..,"alpha_im":..,"beta_re":..,"beta_im":..} or {"mixed_system_file": path}."""
         if "mixed_system_file" in payload:
+            given = [k for k in _AMPLITUDE_KEYS if k in payload]
+            if given:
+                raise ValueError(f"give either amplitudes or mixed_system_file, not both: {given}")
             path = Path(base_dir) / payload["mixed_system_file"]
             return cls(mixed_system=DensityMatrix.from_json(json.loads(path.read_text())))
         alpha = complex(payload["alpha_re"], payload.get("alpha_im", 0.0))

@@ -13,16 +13,7 @@ from pathlib import Path
 
 from .channels import evolve, initial_state
 from .measures import concurrence
-from .pipeline import (
-    SweepConfig,
-    emit_csv,
-    emit_plotdata,
-    find_threshold,
-    invariant_checks,
-    rows_to_json,
-    sweep,
-    write_manifest,
-)
+from .pipeline import SweepConfig, invariant_checks, sweep, thresholds, write_manifest, write_sweep
 from .qcore import DensityMatrix, fidelity_pure, partial_trace, psd_sqrt, purity, save_state
 from .tomography import mle_reconstruct, save_counts, save_settings_manifest, simulate_counts
 
@@ -33,23 +24,19 @@ def _load_config(args) -> SweepConfig:
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise SystemExit(f"error: cannot read config {path}: {exc}") from exc
-    if getattr(args, "seed", None) is not None:
-        payload["seed"] = args.seed
-    if getattr(args, "shots", None) is not None:
-        payload.setdefault("tomography", {})["shots"] = args.shots
-    if getattr(args, "estimator", None) is not None:
-        payload["estimator"] = args.estimator
+    if not isinstance(payload, dict):
+        raise SystemExit(f"error: invalid config: {path} holds a {type(payload).__name__}, "
+                         "not a JSON object")
     try:
+        if args.seed is not None:
+            payload["seed"] = args.seed
+        if args.shots is not None:
+            payload.setdefault("tomography", {})["shots"] = args.shots
+        if getattr(args, "estimator", None) is not None:
+            payload["estimator"] = args.estimator
         return SweepConfig.from_json(payload, base_dir=path.parent)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise SystemExit(f"error: invalid config: {exc}") from exc
-
-
-def _thresholds_payload(rows) -> dict:
-    live = [r for r in rows if r.report is not None]
-    esd = find_threshold([(r.p, r.report.c2_s1s2) for r in live], "esd")
-    esb = find_threshold([(r.p, r.report.c2_e1e2) for r in live], "esb")
-    return {"esd": esd, "esb": esb}
 
 
 def _cmd_sweep(args) -> int:
@@ -57,12 +44,7 @@ def _cmd_sweep(args) -> int:
     out = Path(args.out or config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     rows = sweep(config)
-    emit_csv(rows, out / "sweep.csv")
-    for figure in ("fig2", "fig3", "fig4"):
-        emit_plotdata(rows, figure, out / f"{figure}.csv")
-    (out / "sweep.json").write_text(json.dumps(rows_to_json(rows), indent=1))
-    (out / "thresholds.json").write_text(json.dumps(_thresholds_payload(rows), indent=1))
-    write_manifest(config, out)
+    write_sweep(rows, config, out)
     failed = [r.p for r in rows if r.error]
     if failed:
         print(f"warning: {len(failed)} rows failed: p = {failed}", file=sys.stderr)
@@ -72,13 +54,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_thresholds(args) -> int:
     config = _load_config(args)
-    rows = sweep(config)
-    payload = _thresholds_payload(rows)
-    print(json.dumps(payload, indent=1))
+    text = json.dumps(thresholds(sweep(config)), indent=1)
+    print(text)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "thresholds.json").write_text(json.dumps(payload, indent=1))
+        (out / "thresholds.json").write_text(text)
         write_manifest(config, out)
     return 0
 
@@ -153,28 +134,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sweep = sub.add_parser("sweep", help="run a full sweep and write CSV/JSON artifacts")
-    p_sweep.add_argument("--config", required=True, help="JSON sweep configuration")
-    p_sweep.add_argument("--out", help="output directory (defaults to config out_dir or cwd)")
-    p_sweep.add_argument("--seed", type=int, help="override the config seed")
-    p_sweep.add_argument("--shots", type=int, help="override tomography shots")
-    p_sweep.add_argument("--estimator", choices=("lb", "qp"), help="mixed-state pair-cut estimator")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", required=True, help="JSON sweep configuration")
+    configured.add_argument("--out", help="output directory (defaults to config out_dir or cwd)")
+    configured.add_argument("--seed", type=int, help="override the config seed")
+    configured.add_argument("--shots", type=int, help="override tomography shots")
+    swept = argparse.ArgumentParser(add_help=False, parents=[configured])
+    swept.add_argument("--estimator", choices=("lb", "qp"), help="mixed-state pair-cut estimator")
 
-    p_thr = sub.add_parser("thresholds", help="sweep and print the death/birth thresholds")
-    p_thr.add_argument("--config", required=True)
-    p_thr.add_argument("--out")
-    p_thr.add_argument("--seed", type=int)
-    p_thr.add_argument("--shots", type=int)
-    p_thr.add_argument("--estimator", choices=("lb", "qp"))
-    p_thr.set_defaults(func=_cmd_thresholds)
+    sub.add_parser("sweep", parents=[swept], help="run a full sweep and write CSV/JSON artifacts"
+                   ).set_defaults(func=_cmd_sweep)
+    sub.add_parser("thresholds", parents=[swept], help="sweep and print the death/birth thresholds"
+                   ).set_defaults(func=_cmd_thresholds)
 
-    p_tomo = sub.add_parser("tomo-roundtrip", help="simulate counts at one p and reconstruct")
-    p_tomo.add_argument("--config", required=True)
-    p_tomo.add_argument("--out")
+    p_tomo = sub.add_parser("tomo-roundtrip", parents=[configured],
+                            help="simulate counts at one p and reconstruct")
     p_tomo.add_argument("--p", type=float, default=0.5, help="damping strength (default 0.5)")
-    p_tomo.add_argument("--seed", type=int)
-    p_tomo.add_argument("--shots", type=int)
     p_tomo.set_defaults(func=_cmd_tomo_roundtrip)
 
     p_chk = sub.add_parser("check-invariants", help="run the structural self-checks")

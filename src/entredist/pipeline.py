@@ -2,8 +2,9 @@
 
 A sweep evaluates the full measure report on a grid of damping strengths,
 optionally routing every state through simulated tomography first.  The
-resulting rows serialize to a fixed-column CSV whose bytes are a pure
-function of the configuration and seed.
+resulting rows serialize to a fixed-column CSV, figure data and JSON whose
+bytes are a pure function of the configuration and seed; this module decides
+every one of those formats.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,9 +47,12 @@ __all__ = [
     "CSV_COLUMNS",
     "sweep",
     "find_threshold",
+    "thresholds",
     "emit_csv",
     "emit_plotdata",
+    "rows_to_json",
     "write_manifest",
+    "write_sweep",
     "invariant_checks",
 ]
 
@@ -100,6 +104,8 @@ class SweepConfig:
         else:
             ps = [float(p) for p in grid]
         tomo = payload.get("tomography", {})
+        if not isinstance(tomo, dict):
+            raise ValueError(f"tomography must be a JSON object, got {tomo!r}")
         return cls(
             initial=InitialSpec.from_json(payload, base_dir),
             p_values=tuple(ps),
@@ -139,15 +145,14 @@ class SweepRow:
     error: str | None = None
 
     def to_record(self) -> dict:
-        rec = dict.fromkeys(CSV_COLUMNS, "")
-        if self.report is not None:
-            rec.update(asdict(self.report))
-            rec["genuine4"] = "true" if self.report.genuine4 else "false"
+        """Column name -> native value, in ``CSV_COLUMNS`` order; a failed row has ""
+        in every measure cell."""
+        rec = dict.fromkeys(CSV_COLUMNS, "") if self.report is None else dict(vars(self.report))
         rec.update(
             p=self.p,
             estimator_pair=self.estimator_pair,
             estimator_unbalanced=self.estimator_unbalanced,
-            tomography="true" if self.tomography else "false",
+            tomography=self.tomography,
             seed="" if self.seed is None else self.seed,
             error=self.error or "",
         )
@@ -169,8 +174,7 @@ def sweep(config: SweepConfig) -> list[SweepRow]:
             state = evolve(base, p, p)
             if config.tomography:
                 seed = config.seed + index
-                rho = state if isinstance(state, DensityMatrix) else state.density()
-                records = simulate_counts(rho, config.shots, seed)
+                records = simulate_counts(state, config.shots, seed)
                 state = mle_reconstruct(records).rho
             if isinstance(state, DensityMatrix):
                 estimator_unbalanced = "qp"
@@ -225,7 +229,18 @@ def find_threshold(series, kind: str, zero_tol: float = ZERO_TOL) -> float | Non
     return crossings[-1] if kind == "esd" else crossings[0]
 
 
+def thresholds(rows) -> dict:
+    """ESD of C^2_S1S2 and ESB of C^2_E1E2 over the rows that did not fail."""
+    live = [r for r in rows if r.report is not None]
+    return {
+        "esd": find_threshold([(r.p, r.report.c2_s1s2) for r in live], "esd"),
+        "esb": find_threshold([(r.p, r.report.c2_e1e2) for r in live], "esb"),
+    }
+
+
 def _format(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
@@ -258,14 +273,8 @@ def emit_plotdata(rows, figure: str, path) -> None:
 
 
 def rows_to_json(rows) -> list[dict]:
-    """JSON mirror of the CSV rows (numbers stay numbers)."""
-    out = []
-    for row in rows:
-        rec = row.to_record()
-        rec["genuine4"] = rec["genuine4"] == "true"
-        rec["tomography"] = rec["tomography"] == "true"
-        out.append(rec)
-    return out
+    """JSON mirror of the CSV rows (numbers stay numbers, booleans booleans)."""
+    return [row.to_record() for row in rows]
 
 
 def write_manifest(config: SweepConfig, out_dir) -> None:
@@ -281,6 +290,18 @@ def write_manifest(config: SweepConfig, out_dir) -> None:
         },
     }
     Path(out_dir, "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+
+
+def write_sweep(rows, config: SweepConfig, out_dir) -> None:
+    """Every sweep artifact in ``out_dir``: sweep.csv, fig2-4.csv, sweep.json,
+    thresholds.json and manifest.json."""
+    out = Path(out_dir)
+    emit_csv(rows, out / "sweep.csv")
+    for figure in FIGURE_COLUMNS:
+        emit_plotdata(rows, figure, out / f"{figure}.csv")
+    (out / "sweep.json").write_text(json.dumps(rows_to_json(rows), indent=1))
+    (out / "thresholds.json").write_text(json.dumps(thresholds(rows), indent=1))
+    write_manifest(config, out)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ __all__ = [
     "state_to_json",
     "state_from_json",
     "save_state",
-    "load_state",
 ]
 
 # Validation tolerances shared by the whole package.
@@ -109,10 +108,6 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "n_qubits", n)
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
     def density(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
@@ -158,10 +153,6 @@ class DensityMatrix:
             raise ValueError(f"negative eigenvalue {lo} below -{EIGENVALUE_ATOL}")
         object.__setattr__(self, "entries", mat)
         object.__setattr__(self, "n_qubits", n)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
         """Descending eigenvalues, clamped to non-negative."""
@@ -335,7 +326,3 @@ def state_from_json(payload: dict):
 
 def save_state(state, path) -> None:
     Path(path).write_text(json.dumps(state_to_json(state)))
-
-
-def load_state(path):
-    return state_from_json(json.loads(Path(path).read_text()))

@@ -10,6 +10,7 @@ accelerated projected-gradient maximum-likelihood fit.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import warnings
 from dataclasses import dataclass
@@ -22,11 +23,9 @@ from .qcore import DensityMatrix, as_matrix, hermitize
 
 __all__ = [
     "SELECTORS",
-    "MeasurementSetting",
+    "SETTINGS",
     "CountRecord",
-    "enumerate_settings",
     "setting_projectors",
-    "born_probability",
     "simulate_counts",
     "linear_inversion",
     "project_physical",
@@ -37,7 +36,6 @@ __all__ = [
     "save_settings_manifest",
 ]
 
-# Selector order fixes the base-4 digit of each setting id.
 SELECTORS = ("Z", "Z'", "X", "Y")
 
 _KETS = {
@@ -48,39 +46,20 @@ _KETS = {
 }
 
 N_QUBITS = 4
-N_SETTINGS = 4 ** N_QUBITS
+
+# Setting id -> one selector per qubit (S1, S2, E1, E2).  The id is the index:
+# the selectors' positions in SELECTORS are its base-4 digits, S1 most
+# significant, so id 0 is the all-|0> projector.
+SETTINGS = tuple(itertools.product(SELECTORS, repeat=N_QUBITS))
+N_SETTINGS = len(SETTINGS)
 
 
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """One product projector: a basis selector per qubit plus its id.
-
-    The id encodes the selector tuple in base 4 with the S1 digit most
-    significant, so id 0 is the all-|0> projector.
-    """
-
-    setting_id: int
-    selectors: tuple[str, str, str, str]
-
-    def __post_init__(self):
-        if len(self.selectors) != N_QUBITS or any(s not in SELECTORS for s in self.selectors):
-            raise ValueError(f"selectors must be four of {SELECTORS}, got {self.selectors}")
-        encoded = 0
-        for s in self.selectors:
-            encoded = 4 * encoded + SELECTORS.index(s)
-        if encoded != self.setting_id:
-            raise ValueError(f"id {self.setting_id} does not encode selectors {self.selectors}")
-
-    def ket(self) -> np.ndarray:
-        """The 16-component product ket this setting projects onto."""
-        out = np.array([1.0], dtype=complex)
-        for s in self.selectors:
-            out = np.kron(out, _KETS[s])
-        return out
-
-    def projector(self) -> np.ndarray:
-        k = self.ket()
-        return np.outer(k, k.conj())
+def _ket(selectors) -> np.ndarray:
+    """The 16-component product ket one setting projects onto."""
+    out = np.array([1.0], dtype=complex)
+    for s in selectors:
+        out = np.kron(out, _KETS[s])
+    return out
 
 
 @dataclass(frozen=True)
@@ -98,19 +77,10 @@ class CountRecord:
             raise ValueError(f"count {self.count} outside [0, shots={self.shots}]")
 
 
-def enumerate_settings() -> list[MeasurementSetting]:
-    """All 256 settings in deterministic id order."""
-    out = []
-    for sid in range(N_SETTINGS):
-        digits = [(sid >> (2 * k)) & 3 for k in range(N_QUBITS - 1, -1, -1)]
-        out.append(MeasurementSetting(sid, tuple(SELECTORS[d] for d in digits)))
-    return out
-
-
 @lru_cache(maxsize=1)
 def setting_projectors() -> np.ndarray:
     """Read-only array (256, 16, 16) of the canonical projectors, id order; built once."""
-    kets = np.stack([s.ket() for s in enumerate_settings()])
+    kets = np.stack([_ket(selectors) for selectors in SETTINGS])
     stack = np.einsum("si,sj->sij", kets, kets.conj())
     stack.flags.writeable = False
     return stack
@@ -119,14 +89,6 @@ def setting_projectors() -> np.ndarray:
 def _probabilities(rho_mat: np.ndarray, projectors: np.ndarray) -> np.ndarray:
     probs = np.einsum("sij,ji->s", projectors, rho_mat).real
     return np.clip(probs, 0.0, 1.0)
-
-
-def born_probability(rho, s: MeasurementSetting) -> float:
-    """tr(rho * Pi_s), clamped to [0, 1]."""
-    mat = as_matrix(rho)
-    k = s.ket()
-    value = float(np.real(k.conj() @ mat @ k))
-    return min(max(value, 0.0), 1.0)
 
 
 def simulate_counts(rho, shots: int, seed: int, projectors: np.ndarray | None = None) -> list[CountRecord]:
@@ -157,8 +119,8 @@ def linear_inversion(records, projectors: np.ndarray | None = None) -> np.ndarra
     """
     by_id = _complete_records(records)
     freqs = np.array([by_id[sid].count / by_id[sid].shots for sid in range(N_SETTINGS)])
-    # the raw trace is the summed frequency of the 16 all-Z/Z' settings (base-4 digits 0, 1)
-    if not freqs[[sid for sid in range(N_SETTINGS) if not sid & 0b10101010]].any():
+    # the raw trace is the summed frequency of the 16 all-Z/Z' settings
+    if not freqs[[sid for sid, sel in enumerate(SETTINGS) if set(sel) <= {"Z", "Z'"}]].any():
         raise ValueError("no counts in the 16 all-Z/Z' settings: the estimate has zero trace")
     projectors = setting_projectors() if projectors is None else projectors
     a = projectors.conj().reshape(N_SETTINGS, -1)
@@ -310,11 +272,11 @@ def load_counts(path) -> list[CountRecord]:
 def save_settings_manifest(path) -> None:
     """Companion JSON describing the projector of every setting."""
     payload = []
-    for s in enumerate_settings():
-        ket = s.ket()
+    for sid, selectors in enumerate(SETTINGS):
+        ket = _ket(selectors)
         payload.append({
-            "setting_id": s.setting_id,
-            "selectors": list(s.selectors),
+            "setting_id": sid,
+            "selectors": list(selectors),
             "ket_re": [float(x) for x in ket.real],
             "ket_im": [float(x) for x in ket.imag],
         })

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import ALPHA, BETA
 from entredist.cli import main
+from entredist.qcore import basis_state
 
 
 @pytest.fixture()
@@ -45,6 +46,9 @@ def test_thresholds_prints_json(config_path, capsys):
     assert main(["thresholds", "--config", str(config_path)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"esd", "esb"}
+    assert main(["thresholds", "--config", str(config_path), "--seed", "3",
+                 "--shots", "500", "--estimator", "qp"]) == 0
+    assert json.loads(capsys.readouterr().out) == payload
 
 
 def test_tomo_roundtrip_small(tmp_path, config_path, capsys):
@@ -106,6 +110,28 @@ def test_bad_arguments_exit_one(tmp_path, capsys):
     bad.write_text(json.dumps({"alpha_re": 0.9, "beta_re": 0.9}))
     assert main(["sweep", "--config", str(bad)]) == 1
     assert main(["tomo-roundtrip", "--config", str(bad)]) == 1
+
+    pure = {"alpha_re": 1.0, "beta_re": 0.0}
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(pure))
+    # only sweep and thresholds take --estimator
+    assert main(["tomo-roundtrip", "--config", str(good), "--estimator", "lb"]) == 1
+
+    (tmp_path / "system.json").write_text(json.dumps(basis_state("00").density().to_json()))
+    for payload in (
+        [pure],
+        {**pure, "alpha_re": "abc"},
+        {**pure, "tomography": 5},
+        {**pure, "p_grid": 5},
+        {"mixed_system_file": 5},
+        {"mixed_system_file": "system.json", "alpha_re": 1.0},
+    ):
+        bad.write_text(json.dumps(payload))
+        for command in ("sweep", "thresholds", "tomo-roundtrip"):
+            capsys.readouterr()
+            assert main([command, "--config", str(bad), "--out", str(tmp_path / "out"),
+                         "--shots", "10"]) == 1, (command, payload)
+            assert "error: invalid config" in capsys.readouterr().err, (command, payload)
 
 
 def test_unknown_figure_protected_internally(config_path, tmp_path):

@@ -1,12 +1,14 @@
 """The benchmark's tracer still wraps the functions that do the traced work."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 
 import entredist.pipeline as pipeline
 from conftest import ALPHA, BETA
+from entredist import cli
 from entredist.channels import InitialSpec, mixed_system_with_purity
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -19,6 +21,8 @@ EXPECTED_SPANS = {
     "channels.evolve",
     "tomography.simulate_counts",
     "tomography.mle_reconstruct",
+    "cli.main",
+    "pipeline.emit",
 }
 
 
@@ -29,7 +33,10 @@ def load_tracing():
     return module
 
 
-def test_tracer_records_layer_spans():
+def test_tracer_records_layer_spans(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"alpha_re": ALPHA, "beta_re": BETA,
+                                       "p_grid": [0.0, 0.5, 1.0]}))
     tracer = load_tracing().Tracer()
     tracer.install()
     try:
@@ -43,6 +50,7 @@ def test_tracer_records_layer_spans():
         ):
             rows = pipeline.sweep(config)
             assert all(row.error is None for row in rows)
+        assert cli.main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
     finally:
         tracer.uninstall()
     recorded = {name for name, *_ in tracer.spans}

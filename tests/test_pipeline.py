@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from entredist.pipeline import (
     invariant_checks,
     rows_to_json,
     sweep,
+    thresholds,
     write_manifest,
 )
 
@@ -192,7 +194,7 @@ def test_sweep_with_tomography_loop():
     assert [r.report.c2_s1s2 for r in again] == [r.report.c2_s1s2 for r in rows]
 
 
-def test_sweep_rows_flag_errors_and_continue(monkeypatch):
+def test_sweep_rows_flag_errors_and_continue(monkeypatch, tmp_path):
     import entredist.pipeline as pipeline
 
     calls = {"n": 0}
@@ -208,6 +210,19 @@ def test_sweep_rows_flag_errors_and_continue(monkeypatch):
     rows = sweep(pure_config(steps=4))
     assert [r.error is None for r in rows] == [True, False, True, True]
     assert "synthetic failure" in rows[1].error
+
+    measures = CSV_COLUMNS[1:CSV_COLUMNS.index("estimator_pair")]
+    record = rows_to_json(rows)[1]
+    assert {record[name] for name in measures} == {""}
+    assert "synthetic failure" in record["error"]
+    emit_csv(rows, tmp_path / "sweep.csv")
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        cells = list(csv.DictReader(fh))[1]
+    assert {cells[name] for name in measures} == {""}
+
+    live = [rows[0]] + rows[2:]
+    assert thresholds(rows) == thresholds(live)
+    assert thresholds(rows[1:2]) == {"esd": None, "esb": None}
 
 
 def test_config_parsing_and_validation(tmp_path):

@@ -12,10 +12,10 @@ from entredist.qcore import (
     purity,
 )
 from entredist.tomography import (
+    SETTINGS,
     CountRecord,
-    MeasurementSetting,
-    born_probability,
-    enumerate_settings,
+    _ket,
+    _probabilities,
     linear_inversion,
     load_counts,
     mle_reconstruct,
@@ -33,18 +33,15 @@ def exact_records(rho, shots=10**9):
 
 
 def test_enumerate_settings_basics():
-    settings = enumerate_settings()
-    assert len(settings) == 256
-    assert settings[0].selectors == ("Z", "Z", "Z", "Z")
-    assert np.abs(settings[0].ket() - basis_state("0000").amplitudes).max() == 0.0
-    assert [s.setting_id for s in settings] == list(range(256))
+    assert len(SETTINGS) == 256 == len(set(SETTINGS))
+    assert SETTINGS[0] == ("Z", "Z", "Z", "Z")
+    projector_0 = basis_state("0000").density().entries
+    assert np.abs(setting_projectors()[0] - projector_0).max() == 0.0
 
 
 def test_setting_id_encoding_round_trips():
-    s = MeasurementSetting(0b01_10_11_00, ("Z'", "X", "Y", "Z"))
-    assert s.setting_id == 108
-    with pytest.raises(ValueError, match="encode"):
-        MeasurementSetting(0, ("Z", "Z", "Z", "Z'"))
+    assert SETTINGS[0b01_10_11_00] == ("Z'", "X", "Y", "Z")
+    assert SETTINGS.index(("Z'", "X", "Y", "Z")) == 108
 
 
 def test_projector_family_is_informationally_complete():
@@ -61,15 +58,13 @@ def test_setting_projectors_built_once_and_read_only():
 
 
 def test_born_probability_cases():
-    rho = basis_state("0000").density()
-    settings = enumerate_settings()
-    assert born_probability(rho, settings[0]) == pytest.approx(1.0, abs=1e-12)
+    probs = _probabilities(basis_state("0000").density().entries, setting_projectors())
+    assert probs[0] == pytest.approx(1.0, abs=1e-12)
     # the all-|1> projector is orthogonal to |0000>
-    all_ones = next(s for s in settings if s.selectors == ("Z'",) * 4)
-    assert born_probability(rho, all_ones) == pytest.approx(0.0, abs=1e-12)
-    mixed = DensityMatrix(np.eye(16) / 16)
-    for s in settings[::37]:
-        assert born_probability(mixed, s) == pytest.approx(1 / 16, abs=1e-12)
+    assert probs[SETTINGS.index(("Z'",) * 4)] == pytest.approx(0.0, abs=1e-12)
+    probs = _probabilities(np.eye(16) / 16, setting_projectors())
+    for sid in range(0, 256, 37):
+        assert probs[sid] == pytest.approx(1 / 16, abs=1e-12)
 
 
 def test_simulate_counts_deterministic_and_saturating():
@@ -114,7 +109,7 @@ def test_linear_inversion_requires_all_settings():
 
 def test_linear_inversion_rejects_counts_without_trace():
     # no counts in the 16 all-Z/Z' settings, whose frequencies sum to the raw trace
-    z_basis = [s.setting_id for s in enumerate_settings() if set(s.selectors) <= {"Z", "Z'"}]
+    z_basis = [sid for sid, sel in enumerate(SETTINGS) if set(sel) <= {"Z", "Z'"}]
     assert len(z_basis) == 16
     records = [CountRecord(sid, 10, 0 if sid in z_basis else 3) for sid in range(256)]
     with pytest.raises(ValueError, match="zero trace"):
@@ -270,4 +265,5 @@ def test_settings_manifest(tmp_path):
     assert len(payload) == 256
     assert payload[0]["selectors"] == ["Z", "Z", "Z", "Z"]
     k = np.asarray(payload[255]["ket_re"]) + 1j * np.asarray(payload[255]["ket_im"])
-    assert np.abs(k - enumerate_settings()[255].ket()).max() < 1e-15
+    assert payload[255]["selectors"] == list(SETTINGS[255])
+    assert np.abs(k - _ket(SETTINGS[255])).max() < 1e-15
