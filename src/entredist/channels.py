@@ -105,6 +105,21 @@ def initial_state(spec: InitialSpec):
     return DensityMatrix(kron(spec.mixed_system.entries, env))
 
 
+def _dilation(p) -> np.ndarray:
+    """The 4x4 dilation at each strength in ``p`` (a scalar or an array of them)."""
+    p = np.asarray(p, dtype=float)
+    if not np.all((0.0 <= p) & (p <= 1.0)):  # also false for NaN
+        bad = p.flat[np.argmin((0.0 <= p) & (p <= 1.0))]
+        raise ValueError(f"damping strength p={bad} outside [0, 1]")
+    c, s = np.sqrt(1.0 - p), np.sqrt(p)
+    u = np.zeros(p.shape + (4, 4), dtype=complex)
+    u[..., 0, 0] = u[..., 3, 3] = 1.0
+    u[..., 1, 1] = u[..., 2, 2] = c
+    u[..., 1, 2] = s
+    u[..., 2, 1] = -s
+    return u
+
+
 def ad_unitary(p: float) -> np.ndarray:
     """4x4 dilation unitary on one (S_i, E_i) pair, basis order |se> = 00,01,10,11.
 
@@ -112,60 +127,52 @@ def ad_unitary(p: float) -> np.ndarray:
     sector is completed as the rotation |01> -> sqrt(1-p)|01> - sqrt(p)|10>,
     |11> -> |11>, which keeps the matrix real orthogonal.
     """
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"damping strength p={p} outside [0, 1]")
-    c, s = math.sqrt(1.0 - p), math.sqrt(p)
-    return np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, c, s, 0.0],
-            [0.0, -s, c, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ],
-        dtype=complex,
-    )
+    return _dilation(float(p))
 
 
-# Axes of kron(U_(S1,E1), U_(S2,E2)), whose slots run (S1, E1, S2, E2), in
-# register order (S1, S2, E1, E2), for the output and then the input index.
-_PAIRS_TO_REGISTER = (0, 2, 1, 3, 4, 6, 5, 7)
+def full_unitary(p1, p2) -> np.ndarray:
+    """16x16 unitary applying the (S1,E1) dilation at p1 and (S2,E2) at p2.
 
-
-def full_unitary(p1: float, p2: float) -> np.ndarray:
-    """16x16 unitary applying the (S1,E1) dilation at p1 and (S2,E2) at p2."""
-    u = np.kron(ad_unitary(p1), ad_unitary(p2))
-    return u.reshape([2] * 8).transpose(_PAIRS_TO_REGISTER).reshape(16, 16)
+    Arrays of strengths give a stack of unitaries, one per pair (p1[k], p2[k]).
+    """
+    a, b = _dilation(p1), _dilation(p2)
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    # The Kronecker product with its axes already in register order: a's slots
+    # (S1, E1; S1', E1') and b's (S2, E2; S2', E2') interleave.
+    a = a.reshape(a.shape[:-2] + (2,) * 4)[..., :, None, :, None, :, None, :, None]
+    b = b.reshape(b.shape[:-2] + (2,) * 4)[..., None, :, None, :, None, :, None, :]
+    return (a * b).reshape(lead + (16, 16))
 
 
 # Basis states |S1 S2 E1 E2> with either environment excited: E1, E2 are the low two bits.
 _ENV_EXCITED = (np.arange(16) & 0b11) != 0
 
 
-def _environment_population(state) -> float:
-    """Total probability mass with either environment excited."""
+def _environment_population(state) -> np.ndarray:
+    """Total probability mass with either environment excited, per state."""
     if isinstance(state, PureState):
         probs = np.abs(state.amplitudes) ** 2
     else:
-        probs = state.entries.diagonal().real
-    return float(probs[_ENV_EXCITED].sum())
+        probs = np.diagonal(state.entries, axis1=-2, axis2=-1).real
+    return probs[..., _ENV_EXCITED].sum(axis=-1)
 
 
-def evolve(state, p1: float, p2: float):
+def evolve(state, p1, p2):
     """Apply the local dilations at strengths (p1, p2) to a four-qubit state.
 
     Pure states are mapped through the unitary, density matrices are
-    conjugated by it.  The map expects both environments in |0>; populated
-    environments only raise a warning.
+    conjugated by it.  Arrays of strengths, or a stack of states, give the
+    stack of evolved states in one call.  The map expects both environments
+    in |0>; each state with a populated environment only raises a warning.
     """
-    if _environment_population(state) > 1e-9:
+    if not isinstance(state, (PureState, DensityMatrix)):
+        raise TypeError(f"expected a 4-qubit state object, got {type(state).__name__}")
+    for _ in range(int(np.count_nonzero(_environment_population(state) > 1e-9))):
         warnings.warn("environment qubits are not in |0>; applying the dilation anyway")
     u = full_unitary(p1, p2)
     if isinstance(state, PureState):
-        return PureState(u @ state.amplitudes)
-    if isinstance(state, DensityMatrix):
-        return DensityMatrix(u @ state.entries @ u.conj().T)
-    raise TypeError(f"expected a 4-qubit state object, got {type(state).__name__}")
+        return PureState((u @ state.amplitudes[..., None])[..., 0])
+    return DensityMatrix(u @ state.entries @ u.conj().swapaxes(-1, -2))
 
 
 def random_family_state(rng: np.random.Generator, p1=None, p2=None) -> PureState:

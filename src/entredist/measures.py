@@ -6,6 +6,12 @@ three-tangle and its extension to rank-two pairs treated as effective
 qubits, the residual (monogamy-slack) quantities, their six-term
 decomposition, and the Dicke-state witness of genuine four-partite
 entanglement.
+
+The kernels behind :func:`compute_report` take a leading batch axis: given
+a stack of states they return one value per state, computed by the same
+arithmetic as for a single state, so each number has one route.  Where a
+stacked numpy operation would round differently from the per-state one
+(Python's float power, a vector norm), the kernel keeps a per-item loop.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .qcore import (
     fidelity_pure,
     hermitize,
     matrix_marginal,
+    native,
     numerical_rank,
     psd_sqrt,
     purity,
@@ -93,6 +100,23 @@ def _clamp_small_negative(value: float, atol: float, context: str) -> float:
     return value
 
 
+def _per_item(fn, *values):
+    """``fn`` on each state's values as Python floats: once for a single state, per item
+    for a stack.  Python's float power and the per-state warnings live here."""
+    if np.ndim(values[0]) == 0:
+        return fn(*(float(v) for v in values))
+    return np.array([fn(*items) for items in zip(*(np.asarray(v).tolist() for v in values))])
+
+
+def _positive(values):
+    """Python's max(0.0, x) for each item: x where x > 0, else 0.0 (so NaN and -0.0 give 0.0)."""
+    return native(np.where(values > 0.0, values, 0.0))
+
+
+def _squared_concurrence(gamma: float) -> float:
+    return max(0.0, gamma) ** 2
+
+
 # ---------------------------------------------------------------------------
 # Two-qubit concurrence
 # ---------------------------------------------------------------------------
@@ -105,15 +129,15 @@ def _wootters_roots(mat: np.ndarray) -> np.ndarray:
     """Descending sqrt-eigenvalues of rho * rho_tilde via the Hermitian surrogate."""
     root = psd_sqrt(mat)
     m = hermitize(root @ _spin_flipped(mat) @ root)
-    w = np.linalg.eigvalsh(m)[::-1]
-    if w[-1] < -1e-9:
-        raise ValueError(f"spin-flipped product has eigenvalue {w[-1]} below -1e-9")
+    w = np.linalg.eigvalsh(m)[..., ::-1]
+    if (w[..., -1] < -1e-9).any():
+        raise ValueError(f"spin-flipped product has eigenvalue {w[..., -1].min()} below -1e-9")
     # eigenvalues below 1e-9 are floating noise whose square roots (~1e-8 for
     # a pure input) would otherwise dominate the subtracted terms
     return np.sqrt(np.where(w < 1e-9, 0.0, w))
 
 
-def concurrence_signed(rho2) -> float:
+def concurrence_signed(rho2):
     """Signed precursor of the two-qubit concurrence (may be negative).
 
     The sign carries information the clamped concurrence discards: how far
@@ -121,15 +145,15 @@ def concurrence_signed(rho2) -> float:
     or after it is born.
     """
     mat = as_matrix(rho2)
-    if mat.shape != (4, 4):
-        raise ValueError(f"concurrence needs a 2-qubit state, got dimension {mat.shape[0]}")
+    if mat.shape[-2:] != (4, 4):
+        raise ValueError(f"concurrence needs a 2-qubit state, got dimension {mat.shape[-1]}")
     lam = _wootters_roots(mat)
-    return float(lam[0] - lam[1] - lam[2] - lam[3])
+    return native(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 
 
-def concurrence(rho2) -> float:
+def concurrence(rho2):
     """Wootters two-qubit concurrence, in [0, 1]."""
-    return max(0.0, concurrence_signed(rho2))
+    return _positive(concurrence_signed(rho2))
 
 
 # ---------------------------------------------------------------------------
@@ -143,37 +167,38 @@ def _side_a_slots(part, n_qubits: int) -> tuple[int, ...]:
     return slots
 
 
-def tangle_pure(psi: PureState, part) -> float:
+def tangle_pure(psi: PureState, part):
     """Tangle 2(1 - tr rho_A^2) of a pure state across the given bipartition."""
     slots = _side_a_slots(part, psi.n_qubits)
     rho_a = vector_marginal(psi.amplitudes, psi.n_qubits, slots)
     return 2.0 * (1.0 - purity(rho_a))
 
 
-def tangle_lower_bound(rho, part) -> float:
+def tangle_lower_bound(rho, part):
     """Purity-gap lower bound max(0, 2[tr rho^2 - tr rho_A^2]) on the tangle."""
     mat = as_matrix(rho)
-    n = int(np.log2(mat.shape[0]))
+    n = int(np.log2(mat.shape[-1]))
     slots = _side_a_slots(part, n)
     rho_a = matrix_marginal(mat, n, slots)
-    return max(0.0, 2.0 * (purity(mat) - purity(rho_a)))
+    return _positive(2.0 * (purity(mat) - purity(rho_a)))
 
 
 def _antisym_overlap_matrix(subnormed: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    """Overlaps <f1 f1|A|fm fn> of the doubled antisymmetric projector.
+    """Overlaps <f1 f1|A|fm fn> of the doubled antisymmetric projector, per stacked item.
 
     ``subnormed`` holds sqrt(mu_i) * eigenvector rows; A is the operator whose
     pure-state expectation is the squared concurrence across the (A|B) cut.
     """
-    f = subnormed.reshape(-1, d_a, d_b)
-    f1c = f[0].conj()
-    v = np.einsum("ab,mab->m", f1c, f)
-    swap_a = np.einsum("ab,cd,mcb,nad->mn", f1c, f1c, f, f)
-    swap_b = np.einsum("ab,cd,mad,ncb->mn", f1c, f1c, f, f)
-    return np.outer(v, v) + np.outer(v, v).T - swap_a - swap_b
+    f = subnormed.reshape(subnormed.shape[:-1] + (d_a, d_b))
+    f1c = f[..., 0, :, :].conj()
+    v = np.einsum("...ab,...mab->...m", f1c, f)
+    swap_a = np.einsum("...ab,...cd,...mcb,...nad->...mn", f1c, f1c, f, f)
+    swap_b = np.einsum("...ab,...cd,...mad,...ncb->...mn", f1c, f1c, f, f)
+    outer = v[..., :, None] * v[..., None, :]
+    return outer + outer.swapaxes(-1, -2) - swap_a - swap_b
 
 
-def tangle_quasipure(rho, part) -> float:
+def tangle_quasipure(rho, part):
     """Quasi-pure estimate of the mixed-state tangle across a bipartition.
 
     Expands the squared-concurrence form around the dominant eigenvector of
@@ -182,34 +207,46 @@ def tangle_quasipure(rho, part) -> float:
     states; on the mixed states of interest it sits below the convex roof.
     """
     mat = as_matrix(rho)
-    n = int(np.log2(mat.shape[0]))
+    dim = mat.shape[-1]
+    n = int(np.log2(dim))
     slots = _side_a_slots(part, n)
     d_a = 2 ** len(slots)
-    d_b = mat.shape[0] // d_a
+    d_b = dim // d_a
 
     w, v = eig_hermitian(mat)
-    keep = w > 1e-13
-    w, v = w[keep], v[:, keep]
-    # Reorder amplitudes so side A is the leading tensor factor.
-    rest = [q for q in range(n) if q not in slots]
-    perm = list(slots) + rest
-    vecs = v.T.reshape(-1, *([2] * n)).transpose([0] + [1 + q for q in perm]).reshape(-1, d_a * d_b)
-    subnormed = np.sqrt(w)[:, None] * vecs
+    lead = w.shape[:-1]
+    w, v = w.reshape(-1, dim), v.reshape(-1, dim, dim)
+    keep = w > 1e-13  # a prefix of each row, as w descends
+    # Eigenvectors as rows, amplitudes reordered so side A is the leading tensor factor.
+    perm = list(slots) + [q for q in range(n) if q not in slots]
+    vecs = v.swapaxes(1, 2).reshape((-1, dim) + (2,) * n)
+    vecs = vecs.transpose([0, 1] + [2 + q for q in perm]).reshape(-1, dim, dim)
+    subnormed = np.sqrt(np.where(keep, w, 0.0))[:, :, None] * vecs
 
-    a11 = _antisym_overlap_matrix(subnormed[:1], d_a, d_b)[0, 0].real
-    if a11 <= 1e-14:
-        return 0.0
-    t = _antisym_overlap_matrix(subnormed, d_a, d_b) / np.sqrt(a11)
-    sigma = np.linalg.svd(t, compute_uv=False)
-    c = max(0.0, float(sigma[0] - sigma[1:].sum()))
-    return c * c
+    kept = keep.sum(axis=1)
+    tangles = np.zeros(len(w))
+    for k in np.unique(kept):  # one stack per number of kept eigenvectors
+        rows = np.flatnonzero(kept == k)
+        f = subnormed[rows, :k]
+        a11 = _antisym_overlap_matrix(f[:, :1], d_a, d_b)[:, 0, 0].real
+        live = a11 > 1e-14
+        t = _antisym_overlap_matrix(f[live], d_a, d_b) / np.sqrt(a11[live])[:, None, None]
+        sigma = np.linalg.svd(t, compute_uv=False)
+        c = np.zeros(len(rows))
+        c[live] = _positive(sigma[:, 0] - sigma[:, 1:].sum(axis=1))
+        tangles[rows] = c * c
+    return native(tangles.reshape(lead))
 
 
 # ---------------------------------------------------------------------------
 # Three-tangle and effective-qubit compression
 # ---------------------------------------------------------------------------
 
-def three_tangle(psi3: PureState) -> float:
+def _three_tangle_item(one_to_rest: float, c_ij: float, c_ik: float) -> float:
+    return _clamp_small_negative(one_to_rest - c_ij ** 2 - c_ik ** 2, 1e-7, "three-tangle")
+
+
+def three_tangle(psi3: PureState):
     """Tripartite tangle 4 det rho_0 - C_01^2 - C_02^2 of a pure 3-qubit state.
 
     The Coffman-Kundu-Wootters three-tangle is invariant under permutations
@@ -218,10 +255,10 @@ def three_tangle(psi3: PureState) -> float:
     if psi3.n_qubits != 3:
         raise ValueError(f"three_tangle needs a 3-qubit state, got {psi3.n_qubits}")
     vec = psi3.amplitudes
-    one_to_rest = 4.0 * float(np.real(np.linalg.det(vector_marginal(vec, 3, (0,)))))
+    one_to_rest = 4.0 * np.linalg.det(vector_marginal(vec, 3, (0,))).real
     c_ij = concurrence(vector_marginal(vec, 3, (0, 1)))
     c_ik = concurrence(vector_marginal(vec, 3, (0, 2)))
-    return _clamp_small_negative(one_to_rest - c_ij ** 2 - c_ik ** 2, 1e-7, "three-tangle")
+    return _per_item(_three_tangle_item, one_to_rest, c_ij, c_ik)
 
 
 def compress_pair_to_qubit(psi: PureState, pair) -> PureState:
@@ -237,28 +274,32 @@ def compress_pair_to_qubit(psi: PureState, pair) -> PureState:
     pair_slots = resolve_slots(pair, 4)
     if len(pair_slots) != 2:
         raise ValueError(f"pair must name two distinct subsystems, got {pair!r}")
-    rho_pair = vector_marginal(psi.amplitudes, 4, pair_slots)
+    amps = psi.amplitudes
+    rho_pair = vector_marginal(amps, 4, pair_slots)
     w, v = eig_hermitian(rho_pair)
-    if w[2] > 1e-6 * w[0]:
+    high = w[..., 2] > 1e-6 * w[..., 0]
+    if high.any():
+        w_bad = w.reshape(-1, 4)[int(np.argmax(high))]
         raise RankConditionError(
             f"pair marginal over slots {pair_slots} is not rank-two: "
-            f"third eigenvalue {w[2]:.3e} (largest {w[0]:.3e})"
+            f"third eigenvalue {w_bad[2]:.3e} (largest {w_bad[0]:.3e})"
         )
-    basis = []
-    for k in range(2):
-        col = v[:, k]
-        pivot = col[int(np.argmax(np.abs(col)))]
-        basis.append(col * (pivot.conjugate() / abs(pivot)) if abs(pivot) > 0 else col)
-    iso = np.column_stack(basis)  # 4 x 2, columns = effective |0>, |1>
+    cols = v[..., :2].swapaxes(-1, -2)  # effective |0>, |1> as rows
+    # a unit vector's largest-magnitude component is never zero
+    pivot = np.take_along_axis(cols, np.abs(cols).argmax(axis=-1)[..., None], axis=-1)
+    iso = (cols * (pivot.conj() / np.abs(pivot))).swapaxes(-1, -2)  # 4 x 2 per state
 
+    lead = amps.shape[:-1]
     kept = [q for q in range(4) if q not in pair_slots]
-    t = psi.amplitudes.reshape([2] * 4).transpose(kept + list(pair_slots)).reshape(4, 4)
+    axes = list(range(len(lead))) + [len(lead) + q for q in kept + list(pair_slots)]
+    t = amps.reshape(lead + (2,) * 4).transpose(axes).reshape(lead + (4, 4))
     out = t @ iso.conj()  # (kept, effective)
-    norm = float(np.linalg.norm(out))
-    return PureState(out.reshape(-1) / norm)
+    # one norm per item: norm(axis=...) sums in another order
+    norm = np.array([float(np.linalg.norm(o)) for o in out.reshape(-1, 4, 2)])
+    return PureState(out.reshape(lead + (8,)) / norm.reshape(lead + (1,)))
 
 
-def effective_three_tangle(psi: PureState, pair) -> float:
+def effective_three_tangle(psi: PureState, pair):
     """Three-tangle of the two other qubits and the effective qubit ``pair`` compresses to."""
     return three_tangle(compress_pair_to_qubit(psi, pair))
 
@@ -294,20 +335,20 @@ def _pair_table(state):
         mat = as_matrix(state)
         marginals = {ab: matrix_marginal(mat, 4, ab) for ab in _PAIRS}
     gamma = {ab: concurrence_signed(m) for ab, m in marginals.items()}
-    c2 = {ab: max(0.0, g) ** 2 for ab, g in gamma.items()}
+    c2 = {ab: _per_item(_squared_concurrence, g) for ab, g in gamma.items()}
     return marginals, gamma, c2
 
 
-def _pair_cut_rank(marginals) -> int:
+def _pair_cut_rank(marginals):
     return numerical_rank(marginals[(0, 2)], 1e-6)
 
 
-def _residual_pair(state, estimator: str, marginals, c2, lower_bound=None) -> float:
+def _residual_pair(state, estimator: str, marginals, c2, lower_bound=None):
     """Pair-cut tangle, by the requested estimator on mixed input, less the pairwise terms.
 
     ``lower_bound`` is the pair-cut ``tangle_lower_bound`` when the caller has it already.
     """
-    if _pair_cut_rank(marginals) > 2:
+    for _ in range(np.count_nonzero(_pair_cut_rank(marginals) > 2)):  # one per state
         warnings.warn("(S1,E1) marginal has rank above two; residual is not certified")
     if isinstance(state, PureState):
         big = tangle_pure(state, PAIR_CUT)
@@ -320,7 +361,7 @@ def _residual_pair(state, estimator: str, marginals, c2, lower_bound=None) -> fl
     return big - sum(c2[ab] for ab in _PAIR_CUT_TERMS)
 
 
-def _residual_single(state, i: Subsystem, c2) -> float:
+def _residual_single(state, i: Subsystem, c2):
     if isinstance(state, PureState):
         big = tangle_pure(state, (int(i),))
     else:
@@ -344,13 +385,14 @@ def residual_single_qubit(state, i) -> float:
     return _residual_single(state, subsystem(i), _pair_table(state)[2])
 
 
-def _anchored_tangle(residual: float, tau_eff: float, i: Subsystem) -> tuple[float, float]:
+def _anchored_tangle(residual, tau_eff, i: Subsystem) -> tuple:
     """Residual of i less its grouping's effective three-tangle, raw and noise-clamped."""
     raw = residual - tau_eff
-    return raw, _clamp_small_negative(raw, CLAMP_ATOL, f"reduced three-tangle at {i.name}")
+    context = f"reduced three-tangle at {i.name}"
+    return raw, _per_item(lambda value: _clamp_small_negative(value, CLAMP_ATOL, context), raw)
 
 
-def _effective_tangles(psi: PureState) -> dict[str, float]:
+def _effective_tangles(psi: PureState) -> dict:
     return {col: effective_three_tangle(psi, pair) for col, pair in _EFFECTIVE.items()}
 
 
@@ -434,7 +476,7 @@ def dicke_state() -> PureState:
     return PureState(vec / np.sqrt(6.0))
 
 
-def dicke_witness(state) -> tuple[float, bool]:
+def dicke_witness(state) -> tuple:
     """Fidelity with the Dicke-type state and whether it certifies 4-partite entanglement.
 
     Fidelity strictly above 2/3 witnesses genuine four-partite entanglement.
@@ -477,15 +519,22 @@ class TangleReport:
     genuine4: bool
 
 
-def compute_report(state, p: float, estimator_pair: str = "lb") -> TangleReport:
-    """Evaluate the full measure hierarchy for one four-qubit state.
+def compute_report(state, p, estimator_pair: str = "lb"):
+    """Evaluate the full measure hierarchy for one four-qubit state, or for a stack.
 
-    ``estimator_pair`` selects the mixed-state stand-in for the pair-cut
-    tangle inside the residual ("lb" purity-gap bound or "qp" quasi-pure).
-    For mixed input the effective-qubit tangles are reported as zero: they
-    vanish identically on the damped family this pipeline sweeps, and the
-    compression they need is only defined for pure global states.
+    A single state and its ``p`` give one :class:`TangleReport`; a stack of
+    N states and N values of ``p`` give the list of N reports, each equal to
+    the report of its state alone.  ``estimator_pair`` selects the
+    mixed-state stand-in for the pair-cut tangle inside the residual ("lb"
+    purity-gap bound or "qp" quasi-pure).  For mixed input the
+    effective-qubit tangles are reported as zero: they vanish identically on
+    the damped family this pipeline sweeps, and the compression they need is
+    only defined for pure global states.
     """
+    p = np.asarray(p, dtype=float)
+    lead = state.amplitudes.shape[:-1] if isinstance(state, PureState) else as_matrix(state).shape[:-2]
+    if p.shape != lead:
+        raise ValueError(f"{p.size} values of p for a stack of shape {lead}")
     marginals, gamma, c2 = _pair_table(state)
     c2_pair_lb = tangle_lower_bound(state, PAIR_CUT)
     residuals = {i: _residual_single(state, i, c2) for i in ALL_SUBSYSTEMS}
@@ -494,8 +543,8 @@ def compute_report(state, p: float, estimator_pair: str = "lb") -> TangleReport:
     else:
         effective = dict.fromkeys(_EFFECTIVE, 0.0)
     fid, genuine = dicke_witness(state)
-    return TangleReport(
-        p=float(p), c2_s1s2=c2[0, 1], c2_e1e2=c2[2, 3], c2_s1e2=c2[0, 3], c2_s2e1=c2[1, 2],
+    columns = dict(
+        p=p, c2_s1s2=c2[0, 1], c2_e1e2=c2[2, 3], c2_s1e2=c2[0, 3], c2_s2e1=c2[1, 2],
         gamma_s1s2=gamma[0, 1], gamma_e1e2=gamma[2, 3],
         c2_pair_lb=c2_pair_lb,
         residual_pair=_residual_pair(state, estimator_pair, marginals, c2, c2_pair_lb),
@@ -504,3 +553,8 @@ def compute_report(state, p: float, estimator_pair: str = "lb") -> TangleReport:
         **effective,
         dicke_fidelity=fid, genuine4=genuine,
     )
+    # Python scalars, so that a report reads and serializes the same from either route
+    values = {name: np.broadcast_to(value, lead).tolist() for name, value in columns.items()}
+    if not lead:
+        return TangleReport(**values)
+    return [TangleReport(**dict(zip(values, row))) for row in zip(*values.values())]

@@ -5,6 +5,10 @@ qubits).  The register layout is fixed once and for all: the two system
 qubits S1, S2 come first, then their path environments E1, E2.  Slot 0
 carries the most significant bit of the basis index, so the ket |1100>
 lives at vector index 12.
+
+States and kernels take an optional leading batch axis: a stack of N states
+is one state object whose arrays have shape ``(N, ...)``, and a kernel
+returns a Python scalar for one state and an array for a stack.
 """
 
 from __future__ import annotations
@@ -88,28 +92,37 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def native(values):
+    """A single state's value as a Python scalar; a stack's values stay an array."""
+    return values.item() if np.ndim(values) == 0 else values
+
+
 @dataclass(frozen=True)
 class PureState:
-    """Normalized amplitude vector over 1..4 qubits, slot 0 most significant."""
+    """Normalized amplitude vector over 1..4 qubits, slot 0 most significant.
+
+    ``amplitudes`` of shape ``(N, 2**n)`` hold a stack of N states.
+    """
 
     amplitudes: np.ndarray
     n_qubits: int = field(init=False)
 
     def __post_init__(self):
-        amps = _readonly(np.asarray(self.amplitudes).reshape(-1))
-        n = int(np.log2(amps.size))
-        if 2 ** n != amps.size or not 1 <= n <= 4:
-            raise ValueError(f"amplitude vector of length {amps.size} is not a 1..4 qubit state")
+        amps = _readonly(self.amplitudes)
+        n = int(np.log2(amps.shape[-1])) if amps.ndim in (1, 2) else 0
+        if not 1 <= n <= 4 or 2 ** n != amps.shape[-1]:
+            raise ValueError(f"amplitude array of shape {amps.shape} is not a 1..4 qubit state")
         if not np.isfinite(amps).all():
             raise ValueError("state vector has non-finite amplitudes")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise ValueError(f"state vector norm {norm} deviates from 1 beyond {NORM_ATOL}")
+        norm = np.linalg.norm(amps, axis=-1)
+        worst = float(norm.flat[np.abs(norm - 1.0).argmax()])
+        if abs(worst - 1.0) > NORM_ATOL:
+            raise ValueError(f"state vector norm {worst} deviates from 1 beyond {NORM_ATOL}")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "n_qubits", n)
 
     def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityMatrix(as_matrix(self))
 
     def amplitude(self, bits: str) -> complex:
         """Amplitude of the basis ket given as a bit string, e.g. "1100"."""
@@ -128,24 +141,28 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix on 1..4 qubits."""
+    """Hermitian, unit-trace, positive-semidefinite matrix on 1..4 qubits.
+
+    ``entries`` of shape ``(N, d, d)`` hold a stack of N states.
+    """
 
     entries: np.ndarray
     n_qubits: int = field(init=False)
 
     def __post_init__(self):
-        mat = _readonly(np.asarray(self.entries))
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        mat = _readonly(self.entries)
+        if mat.ndim not in (2, 3) or mat.shape[-2] != mat.shape[-1]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-        n = int(np.log2(mat.shape[0]))
-        if 2 ** n != mat.shape[0] or not 1 <= n <= 4:
-            raise ValueError(f"matrix of dimension {mat.shape[0]} is not a 1..4 qubit state")
+        n = int(np.log2(mat.shape[-1]))
+        if 2 ** n != mat.shape[-1] or not 1 <= n <= 4:
+            raise ValueError(f"matrix of dimension {mat.shape[-1]} is not a 1..4 qubit state")
         if not np.isfinite(mat).all():
             raise ValueError("density matrix has non-finite entries")
-        dev = float(np.abs(mat - mat.conj().T).max())
+        dev = float(np.abs(mat - _dagger(mat)).max())
         if dev > HERMITIAN_ATOL:
             raise ValueError(f"matrix deviates from Hermitian by {dev} (> {HERMITIAN_ATOL})")
-        tr = complex(np.trace(mat))
+        tr = np.trace(mat, axis1=-2, axis2=-1)
+        tr = complex(tr.flat[np.abs(tr - 1.0).argmax()])
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
         lo = float(np.linalg.eigvalsh(hermitize(mat)).min())
@@ -156,7 +173,7 @@ class DensityMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         """Descending eigenvalues, clamped to non-negative."""
-        w = np.linalg.eigvalsh(hermitize(self.entries))[::-1]
+        w = np.linalg.eigvalsh(hermitize(self.entries))[..., ::-1]
         return np.clip(w, 0.0, None)
 
     def to_json(self) -> dict:
@@ -196,10 +213,14 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
 def hermitize(m: np.ndarray) -> np.ndarray:
     """(M + M†)/2; guards eigendecompositions against asymmetric round-off."""
     m = np.asarray(m)
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + _dagger(m))
 
 
 def as_matrix(state) -> np.ndarray:
@@ -207,26 +228,31 @@ def as_matrix(state) -> np.ndarray:
     if isinstance(state, DensityMatrix):
         return state.entries
     if isinstance(state, PureState):
-        return np.outer(state.amplitudes, state.amplitudes.conj())
+        amps = state.amplitudes
+        return amps[..., :, None] * amps.conj()[..., None, :]
     return np.asarray(state, dtype=complex)
 
 
 def vector_marginal(vec: np.ndarray, n_qubits: int, keep: tuple[int, ...]) -> np.ndarray:
     """Reduced density matrix of a pure state over the kept slots (slot order kept)."""
+    lead = vec.shape[:-1]
     rest = [q for q in range(n_qubits) if q not in keep]
-    m = vec.reshape([2] * n_qubits).transpose(list(keep) + rest)
-    m = m.reshape(2 ** len(keep), 2 ** len(rest))
-    return m @ m.conj().T
+    axes = list(range(len(lead)))
+    m = vec.reshape(lead + (2,) * n_qubits).transpose(axes + [len(lead) + q for q in [*keep, *rest]])
+    m = m.reshape(lead + (2 ** len(keep), 2 ** len(rest)))
+    return m @ _dagger(m)
 
 
 def matrix_marginal(mat: np.ndarray, n_qubits: int, keep: tuple[int, ...]) -> np.ndarray:
     """Partial trace of a density matrix, keeping the given slots in slot order."""
+    lead = mat.shape[:-2]
     rest = [q for q in range(n_qubits) if q not in keep]
-    t = mat.reshape([2] * (2 * n_qubits))
+    t = mat.reshape(lead + (2,) * (2 * n_qubits))
     perm = list(keep) + rest + [n_qubits + q for q in keep] + [n_qubits + q for q in rest]
     dk, dr = 2 ** len(keep), 2 ** len(rest)
-    t = t.transpose(perm).reshape(dk, dr, dk, dr)
-    return np.einsum("abcb->ac", t)
+    axes = list(range(len(lead)))
+    t = t.transpose(axes + [len(lead) + q for q in perm]).reshape(lead + (dk, dr, dk, dr))
+    return np.einsum("...abcb->...ac", t)
 
 
 def partial_trace(rho, keep) -> DensityMatrix:
@@ -253,45 +279,53 @@ def partial_trace(rho, keep) -> DensityMatrix:
 def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvector columns of a Hermitian matrix."""
     mat = as_matrix(m)
-    dev = float(np.abs(mat - mat.conj().T).max())
+    dev = float(np.abs(mat - _dagger(mat)).max())
     if dev > HERMITIAN_ATOL:
         raise ValueError(f"matrix deviates from Hermitian by {dev} (> {HERMITIAN_ATOL})")
     w, v = np.linalg.eigh(hermitize(mat))
-    return w[::-1].copy(), v[:, ::-1].copy()
+    return w[..., ::-1].copy(), v[..., ::-1].copy()
 
 
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     """Principal square root of a PSD matrix, tiny negative eigenvalues clamped."""
     w, v = np.linalg.eigh(hermitize(mat))
     w = np.sqrt(np.clip(w, 0.0, None))
-    return (v * w) @ v.conj().T
+    return (v * w[..., None, :]) @ _dagger(v)
 
 
-def purity(rho) -> float:
+def _unit_clamp(values: np.ndarray) -> np.ndarray:
+    """min(max(x, 0), 1) for each item, NaN kept."""
+    values = np.where(values < 0.0, 0.0, values)
+    return np.where(values > 1.0, 1.0, values)
+
+
+def purity(rho):
     """tr(rho^2), clamped to [0, 1]."""
     mat = as_matrix(rho)
-    value = float(np.real(np.einsum("ij,ji->", mat, mat)))
-    return min(max(value, 0.0), 1.0)
+    return native(_unit_clamp(np.einsum("...ij,...ji->...", mat, mat).real))
 
 
-def fidelity_pure(rho, psi: PureState) -> float:
+def fidelity_pure(rho, psi: PureState):
     """<psi|rho|psi>, real and clamped to [0, 1]."""
     mat = as_matrix(rho)
     vec = psi.amplitudes
-    if mat.shape[0] != vec.size:
-        raise ValueError(f"dimension mismatch: matrix {mat.shape[0]} vs state {vec.size}")
-    value = complex(vec.conj() @ mat @ vec)
-    if abs(value.imag) > 1e-9:
-        raise ValueError(f"fidelity has imaginary part {value.imag}; input not Hermitian?")
-    return min(max(float(value.real), 0.0), 1.0)
+    if mat.shape[-1] != vec.size:
+        raise ValueError(f"dimension mismatch: matrix {mat.shape[-1]} vs state {vec.size}")
+    bra = vec.conj() @ mat
+    # one 1-D dot per item: a stacked product sums in another order
+    value = np.array([b @ vec for b in bra.reshape(-1, vec.size)]).reshape(bra.shape[:-1])
+    if (np.abs(value.imag) > 1e-9).any():
+        worst = value.imag.flat[np.abs(value.imag).argmax()]
+        raise ValueError(f"fidelity has imaginary part {worst}; input not Hermitian?")
+    return native(_unit_clamp(value.real))
 
 
-def numerical_rank(rho, eps: float) -> int:
+def numerical_rank(rho, eps: float):
     """Number of eigenvalues above eps times the largest eigenvalue."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     w = np.linalg.eigvalsh(hermitize(as_matrix(rho)))
-    return int(np.sum(w > eps * w.max()))
+    return native(np.sum(w > eps * w.max(axis=-1, keepdims=True), axis=-1))
 
 
 def state_to_json(state) -> dict:

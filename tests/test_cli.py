@@ -122,6 +122,7 @@ def test_bad_arguments_exit_one(tmp_path, capsys):
         [pure],
         {**pure, "alpha_re": "abc"},
         {**pure, "tomography": 5},
+        {**pure, "tomography": {"enabled": "false"}},
         {**pure, "p_grid": 5},
         {"mixed_system_file": 5},
         {"mixed_system_file": "system.json", "alpha_re": 1.0},

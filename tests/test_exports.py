@@ -1,9 +1,11 @@
 """Every name a module lists in ``__all__`` resolves, so no deleted name lingers, and the
-package re-exports only names its modules list, so the two lists cannot drift."""
+package re-exports only names its modules list, so the two lists cannot drift.  numpy is
+the only runtime dependency."""
 
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,3 +31,20 @@ def test_package_imports_only_listed_names():
         if alias.name not in importlib.import_module(f"entredist.{node.module}").__all__
     ]
     assert not unlisted, f"entredist/__init__.py imports names missing from __all__: {unlisted}"
+
+
+def test_modules_import_only_numpy_and_the_standard_library():
+    # a stray import would also grow the start-up time of every command
+    stray = []
+    for path in sorted(Path(entredist.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            stray += [f"{path.name}: {name}" for name in names
+                      if name.split(".")[0] != "numpy"
+                      and name.split(".")[0] not in sys.stdlib_module_names]
+    assert not stray, f"top-level imports beyond numpy and the standard library: {stray}"

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from entredist.qcore import (
     Subsystem,
     basis_state,
     haar_state,
+    matrix_marginal,
     partial_trace,
     purity,
     vector_marginal,
@@ -541,3 +543,76 @@ def test_compute_report_mixed_uses_estimators():
     assert lb_report.residual_pair == pytest.approx(INITIAL_TANGLE, abs=1e-6)
     assert qp_report.residual_pair == pytest.approx(INITIAL_TANGLE, abs=1e-4)
     assert (lb_report.tau_eff_s1e1, lb_report.tau_eff_s2e2) == (0.0, 0.0)
+
+
+# -- stacked engine ------------------------------------------------------------
+
+def stacked_family(spec, steps):
+    """The damped family of ``spec`` on a grid: one stacked evolve and the per-state list."""
+    base = initial_state(spec)
+    grid = np.linspace(0.0, 1.0, steps)
+    return grid, evolve(base, grid, grid), [evolve(base, p, p) for p in grid]
+
+
+STACKED_CASES = {
+    "pure-1/7": (InitialSpec(alpha=ALPHA, beta=BETA), 201, "lb"),
+    "pure-complex": (InitialSpec(alpha=np.sqrt(0.2) * np.exp(1.1j),
+                                 beta=np.sqrt(0.8) * np.exp(-0.4j)), 101, "lb"),
+    "mixed-lb": (InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, 0.82)), 51, "lb"),
+    "mixed-qp": (InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, 0.82)), 51, "qp"),
+}
+
+
+@pytest.mark.parametrize("case", STACKED_CASES)
+def test_stacked_engine_equals_per_state_calls(case):
+    # the per-state calls are the reference: a stack must reproduce them bit for bit
+    spec, steps, estimator = STACKED_CASES[case]
+    grid, stack, states = stacked_family(spec, steps)
+    pure = isinstance(stack, PureState)
+    entries = stack.amplitudes if pure else stack.entries
+    assert np.array_equal(entries, [s.amplitudes if pure else s.entries for s in states])
+
+    reports = compute_report(stack, grid, estimator_pair=estimator)
+    assert len(reports) == steps
+    for p, state, report in zip(grid, states, reports):
+        single = compute_report(state, p, estimator_pair=estimator)
+        for name, value in vars(single).items():
+            assert getattr(report, name) == value, (p, name)
+
+    for ab in ((0, 1), (2, 3), (0, 3)):
+        if pure:
+            stacked = concurrence_signed(vector_marginal(entries, 4, ab))
+            single = [concurrence_signed(vector_marginal(s.amplitudes, 4, ab)) for s in states]
+        else:
+            stacked = concurrence_signed(matrix_marginal(entries, 4, ab))
+            single = [concurrence_signed(matrix_marginal(s.entries, 4, ab)) for s in states]
+        assert stacked.tolist() == single, ab
+    if pure:
+        for pair in (("S2", "E2"), ("S1", "E1")):
+            stacked = effective_three_tangle(stack, pair)
+            assert stacked.tolist() == [effective_three_tangle(s, pair) for s in states], pair
+
+
+def test_stacked_report_warns_once_per_state(rng):
+    mats = []
+    for _ in range(3):
+        m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        rho = m @ m.conj().T
+        mats.append(rho / np.trace(rho).real)
+
+    def messages(call):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        return sorted(str(w.message) for w in caught)
+
+    stacked = messages(lambda: compute_report(DensityMatrix(np.array(mats)), np.zeros(3)))
+    single = messages(lambda: [compute_report(DensityMatrix(m), 0.0) for m in mats])
+    assert sum("rank above two" in text for text in stacked) == 3
+    assert stacked == single
+
+
+def test_compute_report_rejects_mismatched_p():
+    _, stack, _ = stacked_family(InitialSpec(alpha=ALPHA, beta=BETA), 3)
+    with pytest.raises(ValueError, match="values of p"):
+        compute_report(stack, 0.5)

@@ -197,17 +197,17 @@ def test_sweep_with_tomography_loop():
 def test_sweep_rows_flag_errors_and_continue(monkeypatch, tmp_path):
     import entredist.pipeline as pipeline
 
-    calls = {"n": 0}
+    config = pure_config(steps=4)
     real = pipeline.compute_report
 
     def flaky(state, p, estimator_pair="lb"):
-        calls["n"] += 1
-        if calls["n"] == 2:
+        # fails on any stack that holds the second grid point, whatever its size
+        if config.p_values[1] in np.atleast_1d(p):
             raise ValueError("synthetic failure")
         return real(state, p, estimator_pair=estimator_pair)
 
     monkeypatch.setattr(pipeline, "compute_report", flaky)
-    rows = sweep(pure_config(steps=4))
+    rows = sweep(config)
     assert [r.error is None for r in rows] == [True, False, True, True]
     assert "synthetic failure" in rows[1].error
 
@@ -223,6 +223,19 @@ def test_sweep_rows_flag_errors_and_continue(monkeypatch, tmp_path):
     live = [rows[0]] + rows[2:]
     assert thresholds(rows) == thresholds(live)
     assert thresholds(rows[1:2]) == {"esd": None, "esb": None}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_sweep_in_short_stacks_matches_one_pass(monkeypatch):
+    import entredist.pipeline as pipeline
+
+    pure = pure_config(steps=10)
+    tomo = SweepConfig(initial=InitialSpec(alpha=ALPHA, beta=BETA), p_values=(0.1, 0.3, 0.5, 0.7, 0.9),
+                       tomography=True, shots=2000, seed=4)
+    whole = [sweep(pure), sweep(tomo)]
+    monkeypatch.setattr(pipeline, "STACK_ROWS", 3)
+    assert [sweep(pure), sweep(tomo)] == whole
+    assert [r.seed for r in whole[1]] == [4, 5, 6, 7, 8]
 
 
 def test_config_parsing_and_validation(tmp_path):
