@@ -12,6 +12,8 @@ a stack of states they return one value per state, computed by the same
 arithmetic as for a single state, so each number has one route.  Where a
 stacked numpy operation would round differently from the per-state one
 (Python's float power, a vector norm), the kernel keeps a per-item loop.
+The quasi-pure tangles of a :class:`DensityMatrix` share one cached
+eigendecomposition, and each cut costs a factored overlap contraction.
 """
 
 from __future__ import annotations
@@ -113,22 +115,14 @@ def _positive(values):
     return native(np.where(values > 0.0, values, 0.0))
 
 
-def _squared_concurrence(gamma: float) -> float:
-    return max(0.0, gamma) ** 2
-
-
 # ---------------------------------------------------------------------------
 # Two-qubit concurrence
 # ---------------------------------------------------------------------------
 
-def _spin_flipped(mat: np.ndarray) -> np.ndarray:
-    return _SY_SY @ mat.conj() @ _SY_SY
-
-
 def _wootters_roots(mat: np.ndarray) -> np.ndarray:
     """Descending sqrt-eigenvalues of rho * rho_tilde via the Hermitian surrogate."""
     root = psd_sqrt(mat)
-    m = hermitize(root @ _spin_flipped(mat) @ root)
+    m = hermitize(root @ (_SY_SY @ mat.conj() @ _SY_SY) @ root)  # root (spin-flipped rho) root
     w = np.linalg.eigvalsh(m)[..., ::-1]
     if (w[..., -1] < -1e-9).any():
         raise ValueError(f"spin-flipped product has eigenvalue {w[..., -1].min()} below -1e-9")
@@ -183,19 +177,22 @@ def tangle_lower_bound(rho, part):
     return _positive(2.0 * (purity(mat) - purity(rho_a)))
 
 
-def _antisym_overlap_matrix(subnormed: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+def _antisym_overlap_matrix(subnormed: np.ndarray, d_a: int) -> np.ndarray:
     """Overlaps <f1 f1|A|fm fn> of the doubled antisymmetric projector, per stacked item.
 
-    ``subnormed`` holds sqrt(mu_i) * eigenvector rows; A is the operator whose
-    pure-state expectation is the squared concurrence across the (A|B) cut.
+    ``subnormed`` holds k rows sqrt(mu_i) * eigenvector, side A leading; A is the
+    operator whose pure-state expectation is the squared concurrence across the
+    (A|B) cut.  With X[m,c,a] = sum_b f_m[c,b] conj(f_1[a,b]) (one matmul) and
+    v_m = <f1|fm>, the swap term S[m,n] = sum_(a,c) X[m,c,a] X[n,a,c] is symmetric,
+    so the other one, its transpose, is S again: the matrix is 2 (v v^T - S), at
+    k d_A^2 d_B + k^2 d_A^2 per item, not the k^2 d_A^2 d_B^2 of the four-index form.
     """
-    f = subnormed.reshape(subnormed.shape[:-1] + (d_a, d_b))
-    f1c = f[..., 0, :, :].conj()
-    v = np.einsum("...ab,...mab->...m", f1c, f)
-    swap_a = np.einsum("...ab,...cd,...mcb,...nad->...mn", f1c, f1c, f, f)
-    swap_b = np.einsum("...ab,...cd,...mad,...ncb->...mn", f1c, f1c, f, f)
-    outer = v[..., :, None] * v[..., None, :]
-    return outer + outer.swapaxes(-1, -2) - swap_a - swap_b
+    lead, k = subnormed.shape[:-2], subnormed.shape[-2]
+    f1_dagger = subnormed[..., 0, :].reshape(lead + (d_a, -1)).conj().swapaxes(-1, -2)
+    x = (subnormed.reshape(lead + (k * d_a, -1)) @ f1_dagger).reshape(lead + (k, d_a, d_a))
+    v = np.einsum("...maa->...m", x)
+    s = x.reshape(lead + (k, -1)) @ x.swapaxes(-1, -2).reshape(lead + (k, -1)).swapaxes(-1, -2)
+    return 2.0 * (v[..., :, None] * v[..., None, :] - s)
 
 
 def tangle_quasipure(rho, part):
@@ -205,16 +202,13 @@ def tangle_quasipure(rho, part):
     rho, which reduces the convex-roof minimization to the same
     singular-value expression that solves the two-qubit case.  Exact on pure
     states; on the mixed states of interest it sits below the convex roof.
+    A :class:`DensityMatrix` is decomposed once for all its cuts; the rank-k
+    overlap matrix then costs k d_A^2 d_B + k^2 d_A^2 per state.
     """
-    mat = as_matrix(rho)
-    dim = mat.shape[-1]
+    w, v = eig_hermitian(rho)
+    lead, dim = w.shape[:-1], w.shape[-1]
     n = int(np.log2(dim))
     slots = _side_a_slots(part, n)
-    d_a = 2 ** len(slots)
-    d_b = dim // d_a
-
-    w, v = eig_hermitian(mat)
-    lead = w.shape[:-1]
     w, v = w.reshape(-1, dim), v.reshape(-1, dim, dim)
     keep = w > 1e-13  # a prefix of each row, as w descends
     # Eigenvectors as rows, amplitudes reordered so side A is the leading tensor factor.
@@ -227,11 +221,9 @@ def tangle_quasipure(rho, part):
     tangles = np.zeros(len(w))
     for k in np.unique(kept):  # one stack per number of kept eigenvectors
         rows = np.flatnonzero(kept == k)
-        f = subnormed[rows, :k]
-        a11 = _antisym_overlap_matrix(f[:, :1], d_a, d_b)[:, 0, 0].real
-        live = a11 > 1e-14
-        t = _antisym_overlap_matrix(f[live], d_a, d_b) / np.sqrt(a11[live])[:, None, None]
-        sigma = np.linalg.svd(t, compute_uv=False)
+        a = _antisym_overlap_matrix(subnormed[rows, :k], 2 ** len(slots))
+        live = a[:, 0, 0].real > 1e-14
+        sigma = np.linalg.svd(a[live] / np.sqrt(a[live, :1, :1].real), compute_uv=False)
         c = np.zeros(len(rows))
         c[live] = _positive(sigma[:, 0] - sigma[:, 1:].sum(axis=1))
         tangles[rows] = c * c
@@ -335,8 +327,19 @@ def _pair_table(state):
         mat = as_matrix(state)
         marginals = {ab: matrix_marginal(mat, 4, ab) for ab in _PAIRS}
     gamma = {ab: concurrence_signed(m) for ab, m in marginals.items()}
-    c2 = {ab: _per_item(_squared_concurrence, g) for ab, g in gamma.items()}
+    c2 = {ab: _per_item(lambda x: max(0.0, x) ** 2, g) for ab, g in gamma.items()}
     return marginals, gamma, c2
+
+
+def _stack_shape(state) -> tuple:
+    return state.amplitudes.shape[:-1] if isinstance(state, PureState) else as_matrix(state).shape[:-2]
+
+
+def _one_state(state, caller: str):
+    """``state`` itself; a stack raises, as ``caller`` reports on one state."""
+    if _stack_shape(state):
+        raise ValueError(f"{caller} takes one state, got a stack of {_stack_shape(state)[0]}")
+    return state
 
 
 def _pair_cut_rank(marginals):
@@ -422,7 +425,7 @@ def decompose_pair_residual(psi: PureState, atol: float = 1e-6) -> ResidualDecom
     The half-sum of the six terms must reproduce the residual itself; a
     discrepancy beyond ``atol`` raises with both sides reported.
     """
-    marginals, _, c2 = _pair_table(psi)
+    marginals, _, c2 = _pair_table(_one_state(psi, "decompose_pair_residual"))
     effective = _effective_tangles(psi)
     residuals = {i: _residual_single(psi, i, c2) for i in ALL_SUBSYSTEMS}
     anchored = _anchored_tangles(residuals, effective)
@@ -455,7 +458,7 @@ def monogamy_slacks(state) -> MonogamyReport:
     all slacks are exact; on mixed input they inherit the estimators and may
     dip below zero.
     """
-    marginals, _, c2 = _pair_table(state)
+    marginals, _, c2 = _pair_table(_one_state(state, "monogamy_slacks"))
     one_vs_rest = {i.name: _residual_single(state, i, c2) for i in ALL_SUBSYSTEMS}
     rank = _pair_cut_rank(marginals)
     if rank > 2:
@@ -532,7 +535,7 @@ def compute_report(state, p, estimator_pair: str = "lb"):
     only defined for pure global states.
     """
     p = np.asarray(p, dtype=float)
-    lead = state.amplitudes.shape[:-1] if isinstance(state, PureState) else as_matrix(state).shape[:-2]
+    lead = _stack_shape(state)
     if p.shape != lead:
         raise ValueError(f"{p.size} values of p for a stack of shape {lead}")
     marginals, gamma, c2 = _pair_table(state)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -173,8 +174,14 @@ class DensityMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         """Descending eigenvalues, clamped to non-negative."""
-        w = np.linalg.eigvalsh(hermitize(self.entries))[..., ::-1]
-        return np.clip(w, 0.0, None)
+        return np.clip(self.spectrum[0], 0.0, None)
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`eig_hermitian` of the entries, computed on first use and kept read-only."""
+        w, v = eig_hermitian(self.entries)
+        w.flags.writeable = v.flags.writeable = False
+        return w, v
 
     def to_json(self) -> dict:
         return state_to_json(self)
@@ -277,7 +284,12 @@ def partial_trace(rho, keep) -> DensityMatrix:
 
 
 def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvector columns of a Hermitian matrix."""
+    """Eigenvalues (descending) and orthonormal eigenvector columns of a Hermitian matrix.
+
+    A :class:`DensityMatrix` is decomposed once, into its cached read-only ``spectrum``.
+    """
+    if isinstance(m, DensityMatrix):
+        return m.spectrum
     mat = as_matrix(m)
     dev = float(np.abs(mat - _dagger(mat)).max())
     if dev > HERMITIAN_ATOL:

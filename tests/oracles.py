@@ -76,3 +76,18 @@ def random_rank2_mixed(rng, n_qubits=4):
         vs.append(z / np.linalg.norm(z))
     q = rng.uniform(0.1, 0.9)
     return q * np.outer(vs[0], vs[0].conj()) + (1 - q) * np.outer(vs[1], vs[1].conj())
+
+
+def antisym_overlap_direct(subnormed, d_a, d_b):
+    """<f1 f1|A|fm fn> of the doubled antisymmetric projector as the four-index contraction.
+
+    ``subnormed`` is a stack of k rows over side A (major) times side B; this is
+    the textbook expansion, one einsum per swap term, with no factoring.
+    """
+    f = subnormed.reshape(subnormed.shape[:-1] + (d_a, d_b))
+    f1c = f[..., 0, :, :].conj()
+    v = np.einsum("...ab,...mab->...m", f1c, f)
+    swap_a = np.einsum("...ab,...cd,...mcb,...nad->...mn", f1c, f1c, f, f)
+    swap_b = np.einsum("...ab,...cd,...mad,...ncb->...mn", f1c, f1c, f, f)
+    outer = v[..., :, None] * v[..., None, :]
+    return outer + outer.swapaxes(-1, -2) - swap_a - swap_b

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import ALPHA, BETA, INITIAL_TANGLE, P_ESB, P_ESD, family_state
 from oracles import (
+    antisym_overlap_direct,
     convex_roof_tangle,
     werner_concurrence,
     xstate_concurrence,
 )
 from entredist.measures import (
     PAIR_CUT,
+    _antisym_overlap_matrix,
     DecompositionError,
     RankConditionError,
     compress_pair_to_qubit,
@@ -213,6 +215,36 @@ def test_tangle_quasipure_matches_wootters_on_two_qubits(rng):
         )
 
 
+@pytest.mark.parametrize("k", [1, 2, 4, 16])
+@pytest.mark.parametrize("d_a, d_b", [(2, 8), (4, 4), (8, 2)])
+def test_antisym_overlap_matrix_matches_four_index_contraction(d_a, d_b, k):
+    rng = np.random.default_rng(100 * d_a + k)
+    f = rng.standard_normal((5, k, d_a * d_b)) + 1j * rng.standard_normal((5, k, d_a * d_b))
+    direct = antisym_overlap_direct(f, d_a, d_b)
+    assert np.abs(_antisym_overlap_matrix(f, d_a) - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+def test_pair_cut_quasipure_tangle_is_the_initial_wootters_tangle():
+    # The dilation is local to the (S1,E1)|(S2,E2) cut, so on rho_S (x) |00><00| the
+    # pair-cut convex roof stays C(rho_S)^2 at every p (Osborne, PRA 72, 022309 (2005)),
+    # and the quasi-pure estimate is exact on a locally embedded pair of qubits.
+    rng = np.random.default_rng(4021)
+    systems = [mixed_system_with_purity(ALPHA, BETA, 0.82)]
+    for _ in range(3):
+        psi = haar_state(2, rng).amplitudes
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        noise = g @ g.conj().T
+        weight = rng.uniform(0.5, 0.9)
+        systems.append(DensityMatrix(weight * np.outer(psi, psi.conj())
+                                     + (1.0 - weight) * noise / np.trace(noise).real))
+    grid = np.linspace(0.0, 1.0, 21)
+    for rho_s in systems:
+        expected = concurrence(rho_s) ** 2
+        assert expected > 0.0
+        stack = evolve(initial_state(InitialSpec(mixed_system=rho_s)), grid, grid)
+        assert np.abs(tangle_quasipure(stack, PAIR_CUT) - expected).max() <= 1e-12
+
+
 # -- three-tangle and compression --------------------------------------------
 
 def test_three_tangle_ghz_and_w():
@@ -396,6 +428,12 @@ def test_decompose_pair_residual_reports_both_sides(monkeypatch):
         decompose_pair_residual(family_state(0.3))
 
 
+def test_decompose_pair_residual_refuses_a_stack():
+    _, stack, _ = stacked_family(InitialSpec(alpha=ALPHA, beta=BETA), 3)
+    with pytest.raises(ValueError, match="decompose_pair_residual takes one state, got a stack of 3"):
+        decompose_pair_residual(stack)
+
+
 def test_decomposition_terms_are_the_report_fields(rng):
     # one route per number: the split and the sweep row agree bit for bit
     for _ in range(25):
@@ -420,6 +458,14 @@ def test_monogamy_slacks_cases(rng):
         report = monogamy_slacks(haar_state(4, rng))
         assert min(report.one_vs_rest.values()) >= -1e-6
         assert report.pair_cut is None and "rank" in report.pair_cut_note
+
+
+def test_monogamy_slacks_refuses_a_stack():
+    for spec in (InitialSpec(alpha=ALPHA, beta=BETA),
+                 InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, 0.82))):
+        _, stack, _ = stacked_family(spec, 3)
+        with pytest.raises(ValueError, match="monogamy_slacks takes one state, got a stack of 3"):
+            monogamy_slacks(stack)
 
 
 # -- Dicke witness ------------------------------------------------------------
@@ -533,6 +579,25 @@ def test_compute_report_evaluates_each_concurrence_once(monkeypatch, case, limit
         compute_report(state, 0.3, estimator_pair="lb")
     assert calls["concurrence_signed"] <= limit
     assert calls["tangle_lower_bound"] <= 1  # c2_pair_lb is also the lb residual's tangle
+
+
+@pytest.mark.parametrize("estimator", ["lb", "qp"])
+def test_compute_report_decomposes_a_mixed_stack_once(monkeypatch, estimator):
+    # the four (lb) or five (qp) quasi-pure cuts share one 16 x 16 eigendecomposition
+    spec = InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, 0.82))
+    grid = np.linspace(0.0, 1.0, 5)
+    stack = evolve(initial_state(spec), grid, grid)
+    real = np.linalg.eigh
+    dims = []
+
+    def counted(a, *args, **kwargs):
+        dims.append(np.shape(a)[-1])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    compute_report(stack, grid, estimator_pair=estimator)
+    assert 4 in dims  # the pair concurrences' square roots are counted too
+    assert dims.count(16) <= 1
 
 
 def test_compute_report_mixed_uses_estimators():

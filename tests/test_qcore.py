@@ -85,6 +85,18 @@ def test_eig_hermitian_initial_system_marginal_is_pure():
     assert abs(w[0] - 1.0) < 1e-12
 
 
+def test_density_matrix_spectrum_is_decomposed_once_and_read_only():
+    rho = family_state(0.3).density()
+    w, v = eig_hermitian(rho)
+    assert eig_hermitian(rho) is rho.spectrum
+    fresh_w, fresh_v = eig_hermitian(rho.entries)
+    assert np.array_equal(w, fresh_w) and np.array_equal(v, fresh_v)
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        v[0, 0] = 0.0
+
+
 def test_eig_hermitian_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
