@@ -62,7 +62,7 @@ from .measures import (  # noqa: E402,F401
 )
 from .tomography import (  # noqa: E402,F401
     SETTINGS,
-    CountRecord,
+    Counts,
     MleResult,
     linear_inversion,
     load_counts,

@@ -80,10 +80,10 @@ def _cmd_tomo_roundtrip(args) -> int:
 
     state = evolve(initial_state(config.initial), args.p, args.p)
     rho_true = state if isinstance(state, DensityMatrix) else state.density()
-    records = simulate_counts(rho_true, config.shots, config.seed)
-    result = mle_reconstruct(records)
+    counts = simulate_counts(rho_true, config.shots, config.seed)
+    result = mle_reconstruct(counts)
 
-    save_counts(records, out / "counts.csv")
+    save_counts(counts, out / "counts.csv")
     save_settings_manifest(out / "settings.json")
     save_state(rho_true, out / "rho_true.json")
     save_state(result.rho, out / "rho_mle.json")

@@ -183,55 +183,45 @@ def sweep(config: SweepConfig) -> list[SweepRow]:
     for first in range(0, len(grid), STACK_ROWS):
         batch = grid[first:first + STACK_ROWS]
         try:
-            rows += _stacked_rows(config, base, batch, first, {})
+            rows += _stacked_rows(config, base, batch, first)
         except Exception:  # noqa: BLE001 - the row-by-row pass flags the failing row
             rows += [_contained_row(config, base, p, first + k) for k, p in enumerate(batch)]
     return rows
 
 
+def _provenance(config: SweepConfig, index: int) -> dict:
+    """The provenance fields of the row at sorted grid index ``index``, live or failed."""
+    mixed = config.tomography or config.initial.mixed_system is not None
+    return {
+        "estimator_pair": config.estimator if mixed else "pure",
+        "estimator_unbalanced": "qp" if mixed else "pure",
+        "tomography": config.tomography,
+        "seed": config.seed + index if config.tomography else None,
+    }
+
+
 def _contained_row(config: SweepConfig, base, p: float, index: int) -> SweepRow:
     """One grid point as a stack of one; a failure is caught and flagged on the row."""
-    reached = {"estimator_unbalanced": "pure", "seed": None}
     try:
-        return _stacked_rows(config, base, [p], index, reached)[0]
+        return _stacked_rows(config, base, [p], index)[0]
     except Exception as exc:  # noqa: BLE001 - row-level containment is the contract
-        return SweepRow(
-            p=float(p),
-            report=None,
-            estimator_pair=config.estimator,
-            tomography=config.tomography,
-            error=f"{type(exc).__name__}: {exc}",
-            **reached,
-        )
+        return SweepRow(p=float(p), report=None, error=f"{type(exc).__name__}: {exc}",
+                        **_provenance(config, index))
 
 
-def _stacked_rows(config: SweepConfig, base, grid, first: int, reached: dict) -> list[SweepRow]:
+def _stacked_rows(config: SweepConfig, base, grid, first: int) -> list[SweepRow]:
     """Rows of consecutive grid points, the first at sorted index ``first``, from one
-    stacked pass; ``reached`` records how far a failing pass got, for its error row."""
+    stacked pass."""
     ps = np.array(grid, dtype=float)
+    cells = [_provenance(config, first + k) for k in range(len(grid))]
     states = evolve(base, ps, ps)
-    seeds = [None] * len(grid)
     if config.tomography:
-        seeds = [config.seed + first + k for k in range(len(grid))]
-        reached["seed"] = seeds[0]
         states = DensityMatrix(np.array([
-            mle_reconstruct(simulate_counts(mat, config.shots, seed)).rho.entries
-            for mat, seed in zip(as_matrix(states), seeds)
+            mle_reconstruct(simulate_counts(mat, config.shots, row["seed"])).rho.entries
+            for mat, row in zip(as_matrix(states), cells)
         ]))
-    unbalanced = "qp" if isinstance(states, DensityMatrix) else "pure"
-    reached["estimator_unbalanced"] = unbalanced
     reports = compute_report(states, ps, estimator_pair=config.estimator)
-    return [
-        SweepRow(
-            p=p,
-            report=report,
-            estimator_pair="pure" if unbalanced == "pure" else config.estimator,
-            estimator_unbalanced=unbalanced,
-            tomography=config.tomography,
-            seed=seed,
-        )
-        for p, report, seed in zip(ps.tolist(), reports, seeds)
-    ]
+    return [SweepRow(p=p, report=report, **row) for p, report, row in zip(ps.tolist(), reports, cells)]
 
 
 def find_threshold(series, kind: str, zero_tol: float = ZERO_TOL) -> float | None:

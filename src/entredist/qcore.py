@@ -166,11 +166,11 @@ class DensityMatrix:
         tr = complex(tr.flat[np.abs(tr - 1.0).argmax()])
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
-        lo = float(np.linalg.eigvalsh(hermitize(mat)).min())
-        if lo < -EIGENVALUE_ATOL:
-            raise ValueError(f"negative eigenvalue {lo} below -{EIGENVALUE_ATOL}")
         object.__setattr__(self, "entries", mat)
         object.__setattr__(self, "n_qubits", n)
+        lo = float(self.spectrum[0][..., -1].min())  # decomposed once; later reads reuse it
+        if lo < -EIGENVALUE_ATOL:
+            raise ValueError(f"negative eigenvalue {lo} below -{EIGENVALUE_ATOL}")
 
     def eigenvalues(self) -> np.ndarray:
         """Descending eigenvalues, clamped to non-negative."""

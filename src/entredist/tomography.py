@@ -2,9 +2,12 @@
 
 Each setting projects every qubit onto one of |0>, |1>, |+> = (|0>+|1>)/sqrt(2)
 or |+i> = (|0>+i|1>)/sqrt(2); the 256 resulting rank-one product projectors
-are informationally complete.  Counts are drawn binomially per setting, and
-states are reconstructed either by linear inversion or by a certified
-accelerated projected-gradient maximum-likelihood fit.
+are informationally complete.  ``SETTINGS`` and ``KETS`` hold the selectors and
+the product ket of every setting, indexed by setting id.  A count set
+(:class:`Counts`) is one integer array of binomial counts in setting-id order
+with a common shot number, validated once; states are reconstructed from it
+either by linear inversion or by a certified accelerated projected-gradient
+maximum-likelihood fit.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from .qcore import DensityMatrix, as_matrix, hermitize
 __all__ = [
     "SELECTORS",
     "SETTINGS",
-    "CountRecord",
+    "KETS",
+    "Counts",
     "setting_projectors",
     "simulate_counts",
     "linear_inversion",
@@ -38,13 +42,6 @@ __all__ = [
 
 SELECTORS = ("Z", "Z'", "X", "Y")
 
-_KETS = {
-    "Z": np.array([1.0, 0.0], dtype=complex),
-    "Z'": np.array([0.0, 1.0], dtype=complex),
-    "X": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
-    "Y": np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
-}
-
 N_QUBITS = 4
 
 # Setting id -> one selector per qubit (S1, S2, E1, E2).  The id is the index:
@@ -54,34 +51,57 @@ SETTINGS = tuple(itertools.product(SELECTORS, repeat=N_QUBITS))
 N_SETTINGS = len(SETTINGS)
 
 
-def _ket(selectors) -> np.ndarray:
-    """The 16-component product ket one setting projects onto."""
-    out = np.array([1.0], dtype=complex)
-    for s in selectors:
-        out = np.kron(out, _KETS[s])
-    return out
+def _product_kets() -> np.ndarray:
+    """Read-only (256, 16) array: row ``id`` is the product ket of ``SETTINGS[id]``.
+
+    Each pass appends one qubit as the least significant factor of both the
+    setting id and the ket index, multiplying left to right as ``np.kron`` does.
+    """
+    # |0>, |1>, |+>, |+i>: the single-qubit kets in SELECTORS order
+    single = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0j]], dtype=complex)
+    single[2:] /= np.sqrt(2.0)
+    kets = np.ones((1, 1), dtype=complex)
+    for _ in range(N_QUBITS):
+        kets = (kets[:, None, :, None] * single[None, :, None, :]).reshape(4 * len(kets), -1)
+    kets.flags.writeable = False
+    return kets
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    """Coincidence count for one setting: ``count`` successes out of ``shots``."""
+KETS = _product_kets()
 
-    setting_id: int
+
+@dataclass(frozen=True, eq=False)
+class Counts:
+    """One count set: ``counts[id]`` successes out of ``shots`` for every setting id.
+
+    ``counts`` becomes a read-only integer array of shape (256,) in setting-id
+    order; ``shots`` is an integer of at least 1.
+    """
+
+    counts: np.ndarray
     shots: int
-    count: int
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError("shots must be positive")
-        if not 0 <= self.count <= self.shots:
-            raise ValueError(f"count {self.count} outside [0, shots={self.shots}]")
+        if not isinstance(self.shots, (int, np.integer)) or self.shots < 1:
+            raise ValueError(f"shots must be an integer of at least 1, got {self.shots!r}")
+        raw = np.asarray(self.counts)
+        if raw.shape != (N_SETTINGS,):
+            raise ValueError(f"expected {N_SETTINGS} counts in setting-id order, got shape {raw.shape}")
+        if raw.dtype.kind not in "iuf" or not np.isfinite(raw).all() or (raw % 1).any():
+            raise ValueError("counts must be finite integers")
+        counts = raw.astype(np.int64)
+        bad = counts[(counts < 0) | (counts > self.shots)]
+        if bad.size:
+            raise ValueError(f"count {bad[0]} outside [0, shots={self.shots}]")
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "shots", int(self.shots))
 
 
 @lru_cache(maxsize=1)
 def setting_projectors() -> np.ndarray:
     """Read-only array (256, 16, 16) of the canonical projectors, id order; built once."""
-    kets = np.stack([_ket(selectors) for selectors in SETTINGS])
-    stack = np.einsum("si,sj->sij", kets, kets.conj())
+    stack = np.einsum("si,sj->sij", KETS, KETS.conj())
     stack.flags.writeable = False
     return stack
 
@@ -91,34 +111,20 @@ def _probabilities(rho_mat: np.ndarray, projectors: np.ndarray) -> np.ndarray:
     return np.clip(probs, 0.0, 1.0)
 
 
-def simulate_counts(rho, shots: int, seed: int, projectors: np.ndarray | None = None) -> list[CountRecord]:
+def simulate_counts(rho, shots: int, seed: int, projectors: np.ndarray | None = None) -> Counts:
     """Binomial counts for every setting; reproducible for a fixed seed."""
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    mat = as_matrix(rho)
     projectors = setting_projectors() if projectors is None else projectors
-    probs = _probabilities(mat, projectors)
-    rng = np.random.default_rng(seed)
-    counts = rng.binomial(shots, probs)
-    return [CountRecord(sid, shots, int(c)) for sid, c in enumerate(counts)]
+    probs = _probabilities(as_matrix(rho), projectors)
+    return Counts(np.random.default_rng(seed).binomial(shots, probs), shots)
 
 
-def _complete_records(records) -> dict[int, CountRecord]:
-    by_id = {r.setting_id: r for r in records}
-    missing = sorted(set(range(N_SETTINGS)) - set(by_id))
-    if missing:
-        raise ValueError(f"missing settings: {missing}")
-    return by_id
-
-
-def linear_inversion(records, projectors: np.ndarray | None = None) -> np.ndarray:
+def linear_inversion(count_set: Counts, projectors: np.ndarray | None = None) -> np.ndarray:
     """Least-squares solve of the Born system; Hermitian and unit trace.
 
     The output is a plain array because finite counts can push eigenvalues
     negative; feed it through :func:`project_physical` to obtain a state.
     """
-    by_id = _complete_records(records)
-    freqs = np.array([by_id[sid].count / by_id[sid].shots for sid in range(N_SETTINGS)])
+    freqs = count_set.counts / count_set.shots
     # the raw trace is the summed frequency of the 16 all-Z/Z' settings
     if not freqs[[sid for sid, sel in enumerate(SETTINGS) if set(sel) <= {"Z", "Z'"}]].any():
         raise ValueError("no counts in the 16 all-Z/Z' settings: the estimate has zero trace")
@@ -163,13 +169,13 @@ class MleResult:
     gap_bound: float
 
 
-def _log_likelihood(probs: np.ndarray, counts: np.ndarray, shots: np.ndarray) -> float:
+def _log_likelihood(probs: np.ndarray, counts: np.ndarray, shots: float) -> float:
     p = np.clip(probs, 1e-12, 1.0 - 1e-12)
     return float(np.sum(counts * np.log(p) + (shots - counts) * np.log1p(-p)))
 
 
 def mle_reconstruct(
-    records,
+    count_set: Counts,
     max_iter: int = 2_000,
     tol: float = 1.0,
     projectors: np.ndarray | None = None,
@@ -188,14 +194,12 @@ def mle_reconstruct(
     likelihood at working precision; it warns and flags the result if the
     bound still exceeds ``tol``.
     """
-    by_id = _complete_records(records)
-    counts = np.array([by_id[sid].count for sid in range(N_SETTINGS)], dtype=float)
-    shots = np.array([by_id[sid].shots for sid in range(N_SETTINGS)], dtype=float)
+    counts, shots = count_set.counts.astype(float), float(count_set.shots)
     misses = shots - counts
     projectors = setting_projectors() if projectors is None else projectors
     flat = np.ascontiguousarray(projectors.reshape(N_SETTINGS, -1))
     dim = projectors.shape[1]
-    total = float(shots.sum())
+    total = N_SETTINGS * shots
     freqs, hit, miss = counts / shots, counts > 0, misses > 0
 
     def evaluate(mat):
@@ -253,31 +257,31 @@ def mle_reconstruct(
 # Persistence
 # ---------------------------------------------------------------------------
 
-def save_counts(records, path) -> None:
-    """CSV with header setting_id,shots,count, ordered by setting id."""
+def save_counts(count_set: Counts, path) -> None:
+    """CSV with header setting_id,shots,count, one row per setting in id order."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["setting_id", "shots", "count"])
-        for r in sorted(records, key=lambda r: r.setting_id):
-            writer.writerow([r.setting_id, r.shots, r.count])
+        writer.writerows((sid, count_set.shots, c) for sid, c in enumerate(count_set.counts.tolist()))
 
 
-def load_counts(path) -> list[CountRecord]:
+def load_counts(path) -> Counts:
+    """The count set :func:`save_counts` wrote: every setting id once, in order, one shot number."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [CountRecord(int(row["setting_id"]), int(row["shots"]), int(row["count"]))
-                for row in reader]
+        rows = list(csv.DictReader(fh))
+    if [int(row["setting_id"]) for row in rows] != list(range(N_SETTINGS)):
+        raise ValueError(f"{path}: expected setting ids 0..{N_SETTINGS - 1} once each, in order")
+    shots = {int(row["shots"]) for row in rows}
+    if len(shots) != 1:
+        raise ValueError(f"{path}: one shot number expected, got {sorted(shots)}")
+    return Counts(np.array([int(row["count"]) for row in rows]), shots.pop())
 
 
 def save_settings_manifest(path) -> None:
     """Companion JSON describing the projector of every setting."""
-    payload = []
-    for sid, selectors in enumerate(SETTINGS):
-        ket = _ket(selectors)
-        payload.append({
-            "setting_id": sid,
-            "selectors": list(selectors),
-            "ket_re": [float(x) for x in ket.real],
-            "ket_im": [float(x) for x in ket.imag],
-        })
+    payload = [
+        {"setting_id": sid, "selectors": list(selectors),
+         "ket_re": ket.real.tolist(), "ket_im": ket.imag.tolist()}
+        for sid, (selectors, ket) in enumerate(zip(SETTINGS, KETS))
+    ]
     Path(path).write_text(json.dumps(payload, indent=1))

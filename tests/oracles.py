@@ -1,10 +1,13 @@
 """Independent oracles the tests check the library against.
 
 Nothing here shares code with the implementation paths it verifies: the
-X-state concurrence is the textbook closed form, and the convex-roof value
+X-state concurrence is the textbook closed form, the convex-roof value
 is estimated by brute-force minimization over randomly sampled ensemble
-decompositions.
+decompositions, and the tomography setting kets are built one ``np.kron`` at
+a time.
 """
+
+import itertools
 
 import numpy as np
 
@@ -91,3 +94,21 @@ def antisym_overlap_direct(subnormed, d_a, d_b):
     swap_b = np.einsum("...ab,...cd,...mad,...ncb->...mn", f1c, f1c, f, f)
     outer = v[..., :, None] * v[..., None, :]
     return outer + outer.swapaxes(-1, -2) - swap_a - swap_b
+
+
+def kron_setting_kets():
+    """(256, 16) product kets of the tomography settings, one ``np.kron`` per qubit.
+
+    Setting ids run over the selectors Z, Z', X, Y (|0>, |1>, |+>, |+i>) per
+    qubit as base-4 digits, S1 most significant.
+    """
+    single = [np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex),
+              np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
+              np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)]
+    kets = []
+    for digits in itertools.product(range(4), repeat=4):
+        ket = np.array([1.0], dtype=complex)
+        for d in digits:
+            ket = np.kron(ket, single[d])
+        kets.append(ket)
+    return np.array(kets)

@@ -583,18 +583,22 @@ def test_compute_report_evaluates_each_concurrence_once(monkeypatch, case, limit
 
 @pytest.mark.parametrize("estimator", ["lb", "qp"])
 def test_compute_report_decomposes_a_mixed_stack_once(monkeypatch, estimator):
-    # the four (lb) or five (qp) quasi-pure cuts share one 16 x 16 eigendecomposition
+    # building the stack validates it with the same 16 x 16 eigendecomposition
+    # that the four (lb) or five (qp) quasi-pure cuts then share
     spec = InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, 0.82))
     grid = np.linspace(0.0, 1.0, 5)
-    stack = evolve(initial_state(spec), grid, grid)
-    real = np.linalg.eigh
+    base = initial_state(spec)
     dims = []
 
-    def counted(a, *args, **kwargs):
-        dims.append(np.shape(a)[-1])
-        return real(a, *args, **kwargs)
+    def counting(real):
+        def counted(a, *args, **kwargs):
+            dims.append(np.shape(a)[-1])
+            return real(a, *args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    stack = evolve(base, grid, grid)
     compute_report(stack, grid, estimator_pair=estimator)
     assert 4 in dims  # the pair concurrences' square roots are counted too
     assert dims.count(16) <= 1

@@ -226,6 +226,34 @@ def test_sweep_rows_flag_errors_and_continue(monkeypatch, tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("kind", ["pure", "mixed", "tomography"])
+def test_failed_row_provenance_matches_its_neighbours(monkeypatch, kind):
+    import entredist.pipeline as pipeline
+
+    initial = (InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, 0.82))
+               if kind == "mixed" else InitialSpec(alpha=ALPHA, beta=BETA))
+    config = SweepConfig(initial=initial, p_values=(0.1, 0.5, 0.9), estimator="qp",
+                         tomography=kind == "tomography", shots=2000, seed=5)
+    real = pipeline.evolve
+
+    def flaky(state, p1, p2):
+        # fails on any stack that holds the middle grid point, before any estimator runs
+        if 0.5 in np.atleast_1d(p1):
+            raise ValueError("synthetic failure")
+        return real(state, p1, p2)
+
+    monkeypatch.setattr(pipeline, "evolve", flaky)
+    left, failed, right = (row.to_record() for row in sweep(config))
+    assert "synthetic failure" in failed["error"] and not left["error"] and not right["error"]
+    provenance = ("estimator_pair", "estimator_unbalanced", "tomography")
+    assert [failed[k] for k in provenance] == [left[k] for k in provenance] == [right[k] for k in provenance]
+    assert (left["estimator_pair"], left["estimator_unbalanced"]) == (
+        ("pure", "pure") if kind == "pure" else ("qp", "qp"))
+    seeds = [left["seed"], failed["seed"], right["seed"]]
+    assert seeds == ([5, 6, 7] if kind == "tomography" else ["", "", ""])
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_sweep_in_short_stacks_matches_one_pass(monkeypatch):
     import entredist.pipeline as pipeline
 

@@ -1,7 +1,11 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from conftest import ALPHA, BETA, family_state
+from oracles import kron_setting_kets
 from entredist.channels import InitialSpec, initial_state, mixed_system_with_purity
 from entredist.measures import concurrence
 from entredist.qcore import (
@@ -12,9 +16,9 @@ from entredist.qcore import (
     purity,
 )
 from entredist.tomography import (
+    KETS,
     SETTINGS,
-    CountRecord,
-    _ket,
+    Counts,
     _probabilities,
     linear_inversion,
     load_counts,
@@ -27,9 +31,9 @@ from entredist.tomography import (
 )
 
 
-def exact_records(rho, shots=10**9):
+def exact_counts(rho, shots=10**9):
     probs = (setting_projectors().reshape(256, -1) @ rho.entries.T.reshape(-1)).real
-    return [CountRecord(i, shots, int(round(p * shots))) for i, p in enumerate(probs)]
+    return np.round(probs * shots).astype(int), shots
 
 
 def test_enumerate_settings_basics():
@@ -48,6 +52,13 @@ def test_projector_family_is_informationally_complete():
     flat = setting_projectors().reshape(256, -1)
     gram = flat @ flat.conj().T
     assert np.linalg.matrix_rank(gram, tol=1e-10) == 256
+
+
+def test_ket_table_equals_the_kron_built_kets():
+    assert KETS.shape == (256, 16)
+    assert np.array_equal(KETS, kron_setting_kets())
+    with pytest.raises(ValueError, match="read-only"):
+        KETS[0, 0] = 0.0
 
 
 def test_setting_projectors_built_once_and_read_only():
@@ -71,55 +82,76 @@ def test_simulate_counts_deterministic_and_saturating():
     rho = basis_state("0000").density()
     a = simulate_counts(rho, 1000, seed=11)
     b = simulate_counts(rho, 1000, seed=11)
-    assert a == b
-    assert a[0].count == 1000  # probability-one setting
+    assert np.array_equal(a.counts, b.counts) and a.shots == b.shots
+    assert a.counts[0] == 1000  # probability-one setting
     c = simulate_counts(rho, 1000, seed=12)
-    assert a != c
+    assert not np.array_equal(a.counts, c.counts)
 
 
 def test_simulate_counts_law_of_large_numbers():
     rho = family_state(0.5).density()
     shots = 10**6
-    records = simulate_counts(rho, shots, seed=3)
+    counts = simulate_counts(rho, shots, seed=3)
     probs = (setting_projectors().reshape(256, -1) @ rho.entries.T.reshape(-1)).real
-    for record, p in zip(records, probs):
+    for count, p in zip(counts.counts, probs):
         sigma = np.sqrt(max(p * (1 - p), 1e-12) / shots)
-        assert abs(record.count / shots - p) < max(3 * sigma, 5e-6)
+        assert abs(count / shots - p) < max(3 * sigma, 5e-6)
 
 
-def test_count_record_validation():
-    with pytest.raises(ValueError):
-        CountRecord(0, 0, 0)
-    with pytest.raises(ValueError):
-        CountRecord(0, 10, 11)
+def test_counts_validation():
+    cases = [
+        (np.zeros(256, dtype=int), 0, "shots"),
+        (np.full(256, 10), 10.0, "shots"),
+        (np.zeros(250, dtype=int), 10, "256 counts"),  # missing settings
+        (np.zeros((16, 16), dtype=int), 10, "256 counts"),
+        (np.r_[11, np.zeros(255, dtype=int)], 10, r"count 11 outside \[0, shots=10\]"),
+        (np.r_[-1, np.zeros(255, dtype=int)], 10, "count -1 outside"),
+        (np.r_[2.5, np.zeros(255)], 10, "integers"),
+        (np.r_[np.nan, np.zeros(255)], 10, "integers"),
+        (np.r_[np.inf, np.zeros(255)], 10, "integers"),
+        (np.full(256, "3"), 10, "integers"),
+    ]
+    for counts, shots, match in cases:
+        with pytest.raises(ValueError, match=match):
+            Counts(counts, shots)
+
+
+def test_counts_are_a_read_only_integer_array():
+    source = np.full(256, 3.0)
+    counts = Counts(source, 10)
+    assert counts.counts.dtype == np.int64 and counts.shots == 10
+    with pytest.raises(ValueError, match="read-only"):
+        counts.counts[0] = 4
+    source[0] = 5.0  # the count set holds its own copy
+    assert counts.counts[0] == 3
 
 
 def test_linear_inversion_noiseless_round_trip():
     rho = family_state(0.5).density()
-    recovered = linear_inversion(exact_records(rho))
+    recovered = linear_inversion(Counts(*exact_counts(rho)))
     assert np.abs(recovered - rho.entries).max() < 1e-8
 
 
 def test_linear_inversion_requires_all_settings():
     rho = family_state(0.2).density()
-    records = exact_records(rho)[: 250]
-    with pytest.raises(ValueError, match=r"missing settings: \[250, 251"):
-        linear_inversion(records)
+    counts, shots = exact_counts(rho)
+    with pytest.raises(ValueError, match="expected 256 counts in setting-id order, got shape"):
+        linear_inversion(Counts(counts[:250], shots))
 
 
 def test_linear_inversion_rejects_counts_without_trace():
     # no counts in the 16 all-Z/Z' settings, whose frequencies sum to the raw trace
     z_basis = [sid for sid, sel in enumerate(SETTINGS) if set(sel) <= {"Z", "Z'"}]
     assert len(z_basis) == 16
-    records = [CountRecord(sid, 10, 0 if sid in z_basis else 3) for sid in range(256)]
+    counts = Counts([0 if sid in z_basis else 3 for sid in range(256)], 10)
     with pytest.raises(ValueError, match="zero trace"):
-        linear_inversion(records)
+        linear_inversion(counts)
 
 
 def test_linear_inversion_mixed_recovery_with_noise():
     rho = DensityMatrix(np.eye(16) / 16)
-    records = simulate_counts(rho, 10**5, seed=9)
-    recovered = linear_inversion(records)
+    counts = simulate_counts(rho, 10**5, seed=9)
+    recovered = linear_inversion(counts)
     assert np.abs(recovered - np.eye(16) / 16).max() < 0.02
     assert abs(np.trace(recovered).real - 1.0) < 1e-12
     assert np.abs(recovered - recovered.conj().T).max() < 1e-12
@@ -127,8 +159,8 @@ def test_linear_inversion_mixed_recovery_with_noise():
 
 def test_linear_inversion_non_psd_output_is_projectable():
     # noisy counts from a pure target push eigenvalues negative
-    records = simulate_counts(family_state(0.5).density(), 2000, seed=17)
-    recovered = linear_inversion(records)
+    counts = simulate_counts(family_state(0.5).density(), 2000, seed=17)
+    recovered = linear_inversion(counts)
     w = np.linalg.eigvalsh(recovered)
     assert w.min() < 0.0  # the documented non-physical possibility
     physical = project_physical(recovered)
@@ -147,8 +179,8 @@ def test_project_physical_cases():
 @pytest.mark.filterwarnings("ignore:maximum-likelihood")
 def test_mle_moderate_shots_round_trip():
     psi = family_state(0.5)
-    records = simulate_counts(psi.density(), 20_000, seed=21)
-    result = mle_reconstruct(records, max_iter=20_000, tol=1e-6)
+    counts = simulate_counts(psi.density(), 20_000, seed=21)
+    result = mle_reconstruct(counts, max_iter=20_000, tol=1e-6)
     assert fidelity_pure(result.rho, psi) > 0.99
     assert result.iterations <= 20_000
     w = np.linalg.eigvalsh(result.rho.entries)
@@ -159,19 +191,19 @@ def test_mle_moderate_shots_round_trip():
 @pytest.mark.filterwarnings("ignore:maximum-likelihood")
 def test_mle_log_likelihood_reported_and_warns_on_iteration_cap():
     psi = family_state(0.5)
-    records = simulate_counts(psi.density(), 5000, seed=4)
+    counts = simulate_counts(psi.density(), 5000, seed=4)
     with pytest.warns(UserWarning, match="did not converge"):
-        capped = mle_reconstruct(records, max_iter=10, tol=1e-12)
+        capped = mle_reconstruct(counts, max_iter=10, tol=1e-12)
     assert not capped.converged
-    longer = mle_reconstruct(records, max_iter=500, tol=1e-12)
+    longer = mle_reconstruct(counts, max_iter=500, tol=1e-12)
     assert longer.log_likelihood >= capped.log_likelihood  # monotone ascent
 
 
-def log_likelihood(rho, records):
+def log_likelihood(rho, count_set):
     probs = np.clip((setting_projectors().reshape(256, -1) @ rho.T.reshape(-1)).real,
                     1e-12, 1.0 - 1e-12)
-    counts = np.array([r.count for r in records], dtype=float)
-    shots = np.array([r.shots for r in records], dtype=float)
+    counts = count_set.counts.astype(float)
+    shots = np.full(256, float(count_set.shots))
     return float(np.sum(counts * np.log(probs) + (shots - counts) * np.log1p(-probs)))
 
 
@@ -179,27 +211,27 @@ def log_likelihood(rho, records):
 @pytest.mark.parametrize("shots, seed", [(100_000, 5), (10**6, 2026)], ids=["1e5", "criterion12"])
 def test_mle_gap_bound_certifies_the_fit(shots, seed):
     psi = family_state(0.5)
-    records = simulate_counts(psi.density(), shots, seed=seed)
-    result = mle_reconstruct(records)
+    counts = simulate_counts(psi.density(), shots, seed=seed)
+    result = mle_reconstruct(counts)
     fit = result.rho.entries
     assert result.converged == (result.gap_bound <= 1.0)
-    assert result.log_likelihood == pytest.approx(log_likelihood(fit, records), abs=1e-6)
+    assert result.log_likelihood == pytest.approx(log_likelihood(fit, counts), abs=1e-6)
     rng = np.random.default_rng(seed)
-    sigmas = [psi.density().entries, mle_reconstruct(records, tol=1e-3).rho.entries]
+    sigmas = [psi.density().entries, mle_reconstruct(counts, tol=1e-3).rho.entries]
     for _ in range(20):  # random states, from far off to within 1e-6 of the fit
         g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         weight = 10.0 ** rng.uniform(-6.0, 0.0)
         sigmas.append((1.0 - weight) * fit + weight * (g @ g.conj().T) / np.trace(g @ g.conj().T))
     for sigma in sigmas:
-        assert log_likelihood(sigma, records) <= result.log_likelihood + result.gap_bound
+        assert log_likelihood(sigma, counts) <= result.log_likelihood + result.gap_bound
 
-    capped = mle_reconstruct(records, max_iter=5)
+    capped = mle_reconstruct(counts, max_iter=5)
     assert not capped.converged and capped.gap_bound > 1.0
 
 
 def test_mle_default_fit_converges_on_criterion_12_counts():
-    records = simulate_counts(family_state(0.5).density(), 10**6, seed=2026)
-    result = mle_reconstruct(records)
+    counts = simulate_counts(family_state(0.5).density(), 10**6, seed=2026)
+    result = mle_reconstruct(counts)
     assert result.converged and result.gap_bound <= 1.0
     assert result.iterations <= 1000
 
@@ -208,8 +240,8 @@ def test_mle_default_fit_converges_on_criterion_12_counts():
 def test_mle_runs_on_experimental_like_mixed_state():
     system = mixed_system_with_purity(ALPHA, BETA, 0.82)
     rho = initial_state(InitialSpec(mixed_system=system))
-    records = simulate_counts(rho, 50_000, seed=6)
-    result = mle_reconstruct(records, max_iter=20_000, tol=1e-6)
+    counts = simulate_counts(rho, 50_000, seed=6)
+    result = mle_reconstruct(counts, max_iter=20_000, tol=1e-6)
     assert purity(result.rho) == pytest.approx(0.82, abs=0.02)
     c_true = concurrence(partial_trace(rho, ("S1", "S2")).entries)
     c_fit = concurrence(partial_trace(result.rho, ("S1", "S2")).entries)
@@ -236,29 +268,50 @@ def test_reconstruction_equivariant_under_local_rotations(rng):
 
     # reconstructing the same counts against the rotated projector set must
     # give the conjugated state
-    records = simulate_counts(rho, 30_000, seed=13)
+    counts = simulate_counts(rho, 30_000, seed=13)
 
-    lin = linear_inversion(records)
-    lin_rot = linear_inversion(records, projectors=projectors_rot)
+    lin = linear_inversion(counts)
+    lin_rot = linear_inversion(counts, projectors=projectors_rot)
     assert np.abs(lin_rot - full @ lin @ full.conj().T).max() < 1e-6
 
-    mle = mle_reconstruct(records, max_iter=3000, tol=1e-6).rho.entries
-    mle_rot = mle_reconstruct(records, max_iter=3000, tol=1e-6,
+    mle = mle_reconstruct(counts, max_iter=3000, tol=1e-6).rho.entries
+    mle_rot = mle_reconstruct(counts, max_iter=3000, tol=1e-6,
                               projectors=projectors_rot).rho.entries
     assert np.abs(mle_rot - full @ mle @ full.conj().T).max() < 1e-6
 
 
 def test_counts_csv_round_trip(tmp_path):
-    records = simulate_counts(family_state(0.4).density(), 1000, seed=8)
+    counts = simulate_counts(family_state(0.4).density(), 1000, seed=8)
     path = tmp_path / "counts.csv"
-    save_counts(records, path)
+    save_counts(counts, path)
     assert path.read_text().splitlines()[0] == "setting_id,shots,count"
-    assert load_counts(path) == records
+    loaded = load_counts(path)
+    assert np.array_equal(loaded.counts, counts.counts) and loaded.shots == counts.shots
+
+
+def _write_counts(path, rows):
+    path.write_text("setting_id,shots,count\n" + "".join(f"{s},{n},{c}\n" for s, n, c in rows))
+
+
+@pytest.mark.parametrize("rows, match", [
+    ([(sid, 10, 1) for sid in range(250)], "setting ids"),
+    ([(sid, 10, 1) for sid in (1, 0, *range(2, 256))], "setting ids"),
+    ([(sid, 10, 1) for sid in (*range(256), 0)], "setting ids"),
+    ([(sid, 10 if sid else 20, 1) for sid in range(256)], r"one shot number expected, got \[10, 20\]"),
+    ([(sid, 10, 11) for sid in range(256)], "outside"),
+], ids=["missing", "out-of-order", "repeated", "two-shot-numbers", "count-above-shots"])
+def test_load_counts_refuses_incomplete_files(tmp_path, rows, match):
+    path = tmp_path / "counts.csv"
+    _write_counts(path, rows)
+    with pytest.raises(ValueError, match=match):
+        load_counts(path)
+
+
+# sha256 of the settings.json every tomography round trip writes; no benchmark reads it
+SETTINGS_JSON_SHA256 = "73f0be0ea62c0d14e036e9fd5ed928713781b0427dadc8d1e8eae16ab76c1695"
 
 
 def test_settings_manifest(tmp_path):
-    import json
-
     path = tmp_path / "settings.json"
     save_settings_manifest(path)
     payload = json.loads(path.read_text())
@@ -266,4 +319,5 @@ def test_settings_manifest(tmp_path):
     assert payload[0]["selectors"] == ["Z", "Z", "Z", "Z"]
     k = np.asarray(payload[255]["ket_re"]) + 1j * np.asarray(payload[255]["ket_im"])
     assert payload[255]["selectors"] == list(SETTINGS[255])
-    assert np.abs(k - _ket(SETTINGS[255])).max() < 1e-15
+    assert np.abs(k - kron_setting_kets()[255]).max() < 1e-15
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SETTINGS_JSON_SHA256
