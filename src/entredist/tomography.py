@@ -50,6 +50,10 @@ N_QUBITS = 4
 SETTINGS = tuple(itertools.product(SELECTORS, repeat=N_QUBITS))
 N_SETTINGS = len(SETTINGS)
 
+# Ids of the 16 all-Z/Z' settings: their projectors sum to the identity, so
+# their summed frequency is the trace of the Born-system solution.
+_Z_BASIS = np.array([sid for sid, sel in enumerate(SETTINGS) if set(sel) <= {"Z", "Z'"}])
+
 
 def _product_kets() -> np.ndarray:
     """Read-only (256, 16) array: row ``id`` is the product ket of ``SETTINGS[id]``.
@@ -118,20 +122,33 @@ def simulate_counts(rho, shots: int, seed: int, projectors: np.ndarray | None = 
     return Counts(np.random.default_rng(seed).binomial(shots, probs), shots)
 
 
-def linear_inversion(count_set: Counts, projectors: np.ndarray | None = None) -> np.ndarray:
-    """Least-squares solve of the Born system; Hermitian and unit trace.
+def _born_solution(freqs: np.ndarray, projectors: np.ndarray) -> np.ndarray:
+    """The Hermitian X with tr(P_s X) = freqs[s] for every setting s, not trace-normalised.
 
-    The output is a plain array because finite counts can push eigenvalues
-    negative; feed it through :func:`project_physical` to obtain a state.
+    The 256 projectors of a 16-dimensional space make the system square, so
+    one LU solve gives the exact solution; a singular stack raises
+    ``numpy.linalg.LinAlgError`` (a ``ValueError``).
+    """
+    dim = projectors.shape[1]
+    # tr(P X) is the row-major dot product of P with X^T: solving against the
+    # projectors as stored needs no conjugated copy
+    sol = np.linalg.solve(projectors.reshape(N_SETTINGS, -1), freqs)
+    return hermitize(sol.reshape(dim, dim).T)
+
+
+def linear_inversion(count_set: Counts, projectors: np.ndarray | None = None) -> np.ndarray:
+    """Exact solve of the square Born system, scaled to unit trace; Hermitian.
+
+    The 256 projectors span the 16x16 matrices, so the system is square and
+    solved exactly (one LU solve, no least-squares fit); a singular projector
+    stack raises ``ValueError``.  The output is a plain array because finite
+    counts can push eigenvalues negative; feed it through
+    :func:`project_physical` to obtain a state.
     """
     freqs = count_set.counts / count_set.shots
-    # the raw trace is the summed frequency of the 16 all-Z/Z' settings
-    if not freqs[[sid for sid, sel in enumerate(SETTINGS) if set(sel) <= {"Z", "Z'"}]].any():
+    if not freqs[_Z_BASIS].any():
         raise ValueError("no counts in the 16 all-Z/Z' settings: the estimate has zero trace")
-    projectors = setting_projectors() if projectors is None else projectors
-    a = projectors.conj().reshape(N_SETTINGS, -1)
-    sol, *_ = np.linalg.lstsq(a, freqs.astype(complex), rcond=None)
-    rho = hermitize(sol.reshape(16, 16))
+    rho = _born_solution(freqs, setting_projectors() if projectors is None else projectors)
     return rho / np.trace(rho).real
 
 
@@ -182,17 +199,23 @@ def mle_reconstruct(
 ) -> MleResult:
     """Accelerated projected-gradient maximum-likelihood fit of the binomial counts.
 
-    Maximises log L / N over density matrices, N the total shot count, from
-    I/16: FISTA momentum, an Armijo backtracking step, and a restart whenever
-    the likelihood falls, so accepted iterates never lose likelihood.
-    Momentum is dropped where the extrapolated point leaves the likelihood's
-    domain.  By concavity every iterate x certifies
+    Maximises log L / N over density matrices, N the total shot count.  The
+    fit starts from the likelier of I/16 and the inverted start
+    0.99 * X+ + 0.01 * I/16 (I/16 on a tie), where X+ is the exact solution
+    of the Born system (as in :func:`linear_inversion`, before trace
+    normalisation) with its eigenvalues projected onto the simplex.  The I/16
+    share keeps every probability inside (0, 1), so any count set has a valid
+    start; the projector stack must be invertible, a singular one raises
+    ``ValueError``.  Then FISTA momentum, an Armijo backtracking step, and a
+    restart whenever the likelihood falls, so accepted iterates never lose
+    likelihood.  Momentum is dropped where the extrapolated point leaves the
+    likelihood's domain.  By concavity every iterate x certifies
     log L(sigma) <= log L(x) + N (lambda_max(R) - 1) for every state sigma,
     with R = grad log L(x) / N shifted by a multiple of the identity so that
     tr(R x) = 1.  The fit stops once the lowest such bound lies within ``tol``
     nats of the current state, or when a plain step no longer raises the
     likelihood at working precision; it warns and flags the result if the
-    bound still exceeds ``tol``.
+    bound still exceeds ``tol``.  ``max_iter=0`` returns the start.
     """
     counts, shots = count_set.counts.astype(float), float(count_set.shots)
     misses = shots - counts
@@ -202,27 +225,30 @@ def mle_reconstruct(
     total = N_SETTINGS * shots
     freqs, hit, miss = counts / shots, counts > 0, misses > 0
 
-    def evaluate(mat):
-        """(log L less its value at the frequencies, grad log L / N), or None where
-        log L diverges; the offset keeps line-search differences accurate to ~1e-10 nats."""
+    def likelihood(mat):
+        """(log L less its value at the frequencies, Born probabilities), or None
+        where log L diverges; the offset keeps line-search differences accurate
+        to ~1e-10 nats."""
         probs = (flat @ mat.T.reshape(-1)).real
         if np.any(probs[hit] < 1e-12) or np.any(probs[miss] > 1.0 - 1e-12):
             return None
-        rel = (counts[hit] @ np.log(probs[hit] / freqs[hit])
-               + misses[miss] @ np.log((1.0 - probs[miss]) / (1.0 - freqs[miss])))
+        return (counts[hit] @ np.log(probs[hit] / freqs[hit])
+                + misses[miss] @ np.log((1.0 - probs[miss]) / (1.0 - freqs[miss]))), probs
+
+    def gradient(probs):
+        """grad log L / N at the state with Born probabilities ``probs``."""
         probs = np.clip(probs, 1e-12, 1.0 - 1e-12)  # only zero-count terms get clipped
-        w_hit, w_miss = counts / probs, misses / (1.0 - probs)
-        return rel, ((w_hit - w_miss) @ flat).reshape(dim, dim) / total
+        return ((counts / probs - misses / (1.0 - probs)) @ flat).reshape(dim, dim) / total
 
     def ascend(y, ll_y, grad_y, step):
         """Armijo-backtracked projected step from ``y``: (x, log L, grad, step), or None."""
         while step > 1e-12:
             x_new = _project_eigenvalues(y + step * grad_y)
             d = x_new - y
-            at_new = evaluate(x_new)
+            at_new = likelihood(x_new)
             if at_new is not None and at_new[0] >= ll_y + total * (
                     np.vdot(grad_y, d).real - np.vdot(d, d).real / (2.0 * step)):
-                return (x_new, *at_new, step)
+                return x_new, at_new[0], gradient(at_new[1]), step
             step *= 0.5
         return None
 
@@ -230,13 +256,19 @@ def mle_reconstruct(
         return ll + total * (np.linalg.eigvalsh(grad)[-1] - np.vdot(grad, x).real)
 
     x = x_prev = np.eye(dim, dtype=complex) / dim
-    ll, grad = evaluate(x)
+    ll, probs = likelihood(x)
+    inverted = 0.99 * _project_eigenvalues(_born_solution(freqs, projectors)) + 0.01 * x
+    ll_inverted, probs_inverted = likelihood(inverted)
+    if ll_inverted > ll:
+        x = x_prev = inverted
+        ll, probs = ll_inverted, probs_inverted
+    grad = gradient(probs)
     bound, t, step, iterations = certified(x, ll, grad), 1.0, 1.0, 0
     while bound - ll > tol and iterations < max_iter:
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
         y = x + ((t - 1.0) / t_next) * (x - x_prev)
-        at_y = evaluate(y) if t > 1.0 else None
-        found = ascend(y, *at_y, step) if at_y is not None else None
+        at_y = likelihood(y) if t > 1.0 else None
+        found = ascend(y, at_y[0], gradient(at_y[1]), step) if at_y is not None else None
         if found is None or found[1] < ll:  # a plain step from x, restarting the momentum
             t_next = t_next if t == 1.0 else 1.0
             found = ascend(x, ll, grad, step)
@@ -277,11 +309,17 @@ def load_counts(path) -> Counts:
     return Counts(np.array([int(row["count"]) for row in rows]), shots.pop())
 
 
-def save_settings_manifest(path) -> None:
-    """Companion JSON describing the projector of every setting."""
+@lru_cache(maxsize=1)
+def _settings_manifest_text() -> str:
+    """The settings manifest as JSON text: a constant, encoded once per process."""
     payload = [
         {"setting_id": sid, "selectors": list(selectors),
          "ket_re": ket.real.tolist(), "ket_im": ket.imag.tolist()}
         for sid, (selectors, ket) in enumerate(zip(SETTINGS, KETS))
     ]
-    Path(path).write_text(json.dumps(payload, indent=1))
+    return json.dumps(payload, indent=1)
+
+
+def save_settings_manifest(path) -> None:
+    """Companion JSON describing the projector of every setting."""
+    Path(path).write_text(_settings_manifest_text())

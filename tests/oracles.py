@@ -3,8 +3,8 @@
 Nothing here shares code with the implementation paths it verifies: the
 X-state concurrence is the textbook closed form, the convex-roof value
 is estimated by brute-force minimization over randomly sampled ensemble
-decompositions, and the tomography setting kets are built one ``np.kron`` at
-a time.
+decompositions, the tomography setting kets are built one ``np.kron`` at a
+time, and the Born system is solved by least squares.
 """
 
 import itertools
@@ -112,3 +112,15 @@ def kron_setting_kets():
             ket = np.kron(ket, single[d])
         kets.append(ket)
     return np.array(kets)
+
+
+def lstsq_born_solution(freqs, projectors):
+    """Hermitian X with tr(P_s X) = freqs[s], by least squares on the conjugated frame.
+
+    Not trace-normalised; the textbook fit, sum_ij conj(P_s)_ij X_ij = f_s.
+    """
+    dim = projectors.shape[1]
+    a = projectors.conj().reshape(len(projectors), -1)
+    sol, *_ = np.linalg.lstsq(a, np.asarray(freqs, dtype=complex), rcond=None)
+    x = sol.reshape(dim, dim)
+    return 0.5 * (x + x.conj().T)

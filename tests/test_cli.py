@@ -68,6 +68,15 @@ def test_tomo_roundtrip_small(tmp_path, config_path, capsys):
     assert len(counts) == 257
 
 
+def test_tomo_roundtrip_is_byte_deterministic(tmp_path, config_path):
+    argv = ["tomo-roundtrip", "--config", str(config_path), "--p", "0.25",
+            "--shots", "100000", "--seed", "5"]
+    assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+    for name in ("counts.csv", "settings.json", "rho_mle.json", "report.json", "manifest.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
 def test_tomo_roundtrip_mixed_reports_uhlmann_fidelity(tmp_path):
     from entredist.channels import mixed_system_with_purity
 

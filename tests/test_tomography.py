@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import ALPHA, BETA, family_state
-from oracles import kron_setting_kets
+from oracles import kron_setting_kets, lstsq_born_solution
 from entredist.channels import InitialSpec, initial_state, mixed_system_with_purity
 from entredist.measures import concurrence
 from entredist.qcore import (
@@ -19,7 +19,9 @@ from entredist.tomography import (
     KETS,
     SETTINGS,
     Counts,
+    _Z_BASIS,
     _probabilities,
+    _project_eigenvalues,
     linear_inversion,
     load_counts,
     mle_reconstruct,
@@ -141,11 +143,47 @@ def test_linear_inversion_requires_all_settings():
 
 def test_linear_inversion_rejects_counts_without_trace():
     # no counts in the 16 all-Z/Z' settings, whose frequencies sum to the raw trace
-    z_basis = [sid for sid, sel in enumerate(SETTINGS) if set(sel) <= {"Z", "Z'"}]
-    assert len(z_basis) == 16
-    counts = Counts([0 if sid in z_basis else 3 for sid in range(256)], 10)
+    assert [sid for sid, sel in enumerate(SETTINGS) if set(sel) <= {"Z", "Z'"}] == list(_Z_BASIS)
+    assert len(_Z_BASIS) == 16
+    assert np.abs(setting_projectors()[_Z_BASIS].sum(axis=0) - np.eye(16)).max() < 1e-15
+    counts = Counts([0 if sid in _Z_BASIS else 3 for sid in range(256)], 10)
     with pytest.raises(ValueError, match="zero trace"):
         linear_inversion(counts)
+
+
+def local_rotation(rng):
+    """A random product of four single-qubit unitaries, as one 16x16 matrix."""
+    us = [np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+          for _ in range(4)]
+    full = np.array([[1.0]], dtype=complex)
+    for u in us:
+        full = np.kron(full, u)
+    return full
+
+
+def rotated_projectors(full):
+    return np.einsum("ab,sbc,dc->sad", full, setting_projectors(), full.conj())
+
+
+@pytest.mark.parametrize("shots, rotated", [(1000, False), (100_000, False), (30_000, True)],
+                         ids=["1e3", "1e5", "rotated-stack"])
+def test_linear_inversion_matches_the_least_squares_oracle(shots, rotated):
+    projectors = (rotated_projectors(local_rotation(np.random.default_rng(13))) if rotated
+                  else setting_projectors())
+    counts = simulate_counts(family_state(0.35).density(), shots, seed=13, projectors=projectors)
+    expected = lstsq_born_solution(counts.counts / counts.shots, projectors)
+    expected /= np.trace(expected).real
+    assert np.abs(linear_inversion(counts, projectors=projectors) - expected).max() < 1e-12
+
+
+def test_singular_projector_stack_is_refused():
+    singular = setting_projectors().copy()
+    singular[1] = singular[0]  # a repeated setting leaves the Born system rank-deficient
+    counts = simulate_counts(family_state(0.5).density(), 1000, seed=3)
+    with pytest.raises(ValueError):
+        linear_inversion(counts, projectors=singular)
+    with pytest.raises(ValueError):
+        mle_reconstruct(counts, projectors=singular)
 
 
 def test_linear_inversion_mixed_recovery_with_noise():
@@ -233,7 +271,32 @@ def test_mle_default_fit_converges_on_criterion_12_counts():
     counts = simulate_counts(family_state(0.5).density(), 10**6, seed=2026)
     result = mle_reconstruct(counts)
     assert result.converged and result.gap_bound <= 1.0
-    assert result.iterations <= 1000
+    assert result.iterations <= 45  # 55 from I/16: the inverted start wins here
+
+
+@pytest.mark.filterwarnings("ignore:maximum-likelihood")
+def test_mle_starts_from_the_inverted_state_when_it_is_likelier():
+    counts = simulate_counts(family_state(0.5).density(), 10**6, seed=2026)
+    start = mle_reconstruct(counts, max_iter=0)
+    assert start.iterations == 0 and np.isfinite(start.gap_bound) and start.gap_bound > 1.0
+    raw = lstsq_born_solution(counts.counts / counts.shots, setting_projectors())
+    inverted = 0.99 * _project_eigenvalues(raw) + 0.01 * np.eye(16) / 16
+    assert np.abs(start.rho.entries - inverted).max() < 1e-12
+    assert start.log_likelihood > log_likelihood(np.eye(16) / 16, counts)
+
+
+def test_mle_keeps_the_maximally_mixed_start_without_all_z_counts():
+    # one shot per setting at p = 0: no all-Z/Z' setting fired, so the raw
+    # inversion has zero trace and I/16 is the likelier start
+    counts = simulate_counts(family_state(0.0).density(), 1, seed=0)
+    assert not counts.counts[_Z_BASIS].any()
+    with pytest.raises(ValueError, match="zero trace"):
+        linear_inversion(counts)
+    with pytest.warns(UserWarning, match="did not converge in 0 iterations"):
+        start = mle_reconstruct(counts, max_iter=0)
+    assert np.array_equal(start.rho.entries, np.eye(16) / 16) and np.isfinite(start.gap_bound)
+    fit = mle_reconstruct(counts).rho.entries  # so the fit is the one from I/16
+    assert np.isfinite(fit).all() and abs(np.trace(fit).real - 1.0) < 1e-12
 
 
 @pytest.mark.filterwarnings("ignore:maximum-likelihood")
@@ -252,14 +315,10 @@ def test_mle_runs_on_experimental_like_mixed_state():
 def test_reconstruction_equivariant_under_local_rotations(rng):
     psi = family_state(0.35)
     rho = psi.density()
-    us = [np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
-          for _ in range(4)]
-    full = np.array([[1.0]], dtype=complex)
-    for u in us:
-        full = np.kron(full, u)
+    full = local_rotation(rng)
     rho_rot = DensityMatrix(full @ rho.entries @ full.conj().T)
     projectors = setting_projectors()
-    projectors_rot = np.einsum("ab,sbc,dc->sad", full, projectors, full.conj())
+    projectors_rot = rotated_projectors(full)
 
     # the rotated pair (rho', Pi') has bitwise-identical Born probabilities
     probs = np.einsum("sij,ji->s", projectors, rho.entries).real
