@@ -14,6 +14,8 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -92,13 +94,15 @@ class SweepConfig:
             raise ValueError(f"estimator must be 'lb' or 'qp', got {self.estimator!r}")
         if self.shots < 1:
             raise ValueError("shots must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         object.__setattr__(self, "p_values", ps)
 
     @classmethod
     def from_json(cls, payload: dict, base_dir=".") -> "SweepConfig":
         grid = payload.get("p_grid", {"start": 0.0, "stop": 1.0, "steps": 101})
         if isinstance(grid, dict):
-            steps = int(grid.get("steps", 101))
+            steps = _json_int(grid.get("steps", 101), "p_grid.steps")
             if steps < 2:
                 raise ValueError("steps must be at least 2")
             ps = np.linspace(float(grid.get("start", 0.0)), float(grid.get("stop", 1.0)), steps)
@@ -110,13 +114,14 @@ class SweepConfig:
         enabled = tomo.get("enabled", False)
         if not isinstance(enabled, bool):
             raise ValueError(f"tomography.enabled must be true or false, got {enabled!r}")
+        tomo_seed = _json_int(tomo.get("seed", 0), "tomography.seed")
         return cls(
             initial=InitialSpec.from_json(payload, base_dir),
             p_values=tuple(ps),
             estimator=payload.get("estimator", "lb"),
             tomography=enabled,
-            shots=int(tomo.get("shots", 100_000)),
-            seed=int(payload.get("seed", tomo.get("seed", 0))),
+            shots=_json_int(tomo.get("shots", 100_000), "tomography.shots"),
+            seed=_json_int(payload["seed"], "seed") if "seed" in payload else tomo_seed,
             out_dir=payload.get("out_dir"),
         )
 
@@ -134,6 +139,14 @@ class SweepConfig:
         if self.initial.mixed_system is not None:
             payload["mixed_system"] = self.initial.mixed_system.to_json()
         return json.dumps(payload, sort_keys=True)
+
+
+def _json_int(value, name: str) -> int:
+    """``value`` as an int if it is a JSON integer: a number, not a boolean, with no
+    fractional part."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -161,6 +174,12 @@ class SweepRow:
             error=self.error or "",
         )
         return rec
+
+    @cached_property
+    def cells(self) -> tuple[str, ...]:
+        """The row's ``CSV_COLUMNS`` cells, formatted once; every CSV artifact is cut
+        from these strings."""
+        return tuple(map(_format, self.to_record().values()))
 
 
 # Grid points per stacked pass.  A pass holds a few (rows, 16, 16) complex
@@ -263,42 +282,62 @@ def thresholds(rows) -> dict:
 
 
 def _format(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.12g}"
+    if isinstance(value, bool):
+        return "true" if value else "false"
     return str(value)
 
 
-def _write_columns(path, columns, records, what: str) -> None:
-    """CSV of the given columns of each record; wraps write failures with the path."""
+WITNESS_CELL = _format(2.0 / 3.0)  # fig4's witness_threshold, the same on every row
+_FIGURE_CELLS = {  # picks a figure's cells from a row's cells followed by WITNESS_CELL
+    figure: itemgetter(*((*CSV_COLUMNS, "witness_threshold").index(name) for name in columns))
+    for figure, columns in FIGURE_COLUMNS.items()
+}
+
+# sweep.json is json.dumps(records, indent=1), which runs the pure-Python encoder.
+# Each record is flat, so encoding it with the item separator of indent level 2
+# and wrapping it in the level-1 braces gives the same bytes from the C encoder.
+_RECORD_ENCODER = json.JSONEncoder(separators=(",\n  ", ": "))
+
+
+def _write_columns(path, columns, cells, what: str) -> None:
+    """CSV of a header and rows of formatted cells; wraps write failures with the path."""
     path = Path(path)
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(columns)
-            for rec in records:
-                writer.writerow([_format(rec[name]) for name in columns])
+            writer.writerows(cells)
     except OSError as exc:
         raise OSError(f"cannot write {what} to {path}: {exc}") from exc
 
 
 def emit_csv(rows, path) -> None:
     """Fixed-column CSV at 12 significant digits; bytes are deterministic."""
-    _write_columns(path, CSV_COLUMNS, (row.to_record() for row in rows), "sweep CSV")
+    _write_columns(path, CSV_COLUMNS, (row.cells for row in rows), "sweep CSV")
 
 
 def emit_plotdata(rows, figure: str, path) -> None:
-    """Column subset used by one of the three figures, same formatting rules."""
+    """Column subset used by one of the three figures, cut from the CSV cells."""
     if figure not in FIGURE_COLUMNS:
         raise ValueError(f"unknown figure {figure!r}; expected one of {sorted(FIGURE_COLUMNS)}")
-    records = ({**row.to_record(), "witness_threshold": 2.0 / 3.0} for row in rows)
-    _write_columns(path, FIGURE_COLUMNS[figure], records, f"{figure} plot data")
+    pick = _FIGURE_CELLS[figure]
+    _write_columns(path, FIGURE_COLUMNS[figure], (pick(row.cells + (WITNESS_CELL,)) for row in rows),
+                   f"{figure} plot data")
 
 
 def rows_to_json(rows) -> list[dict]:
     """JSON mirror of the CSV rows (numbers stay numbers, booleans booleans)."""
     return [row.to_record() for row in rows]
+
+
+def _indented_json(records) -> str:
+    """``json.dumps(records, indent=1)`` for a list of flat records, on the C encoder."""
+    if not records:
+        return "[]"
+    encode = _RECORD_ENCODER.encode
+    return "[\n {\n  " + "\n },\n {\n  ".join(encode(rec)[1:-1] for rec in records) + "\n }\n]"
 
 
 def write_manifest(config: SweepConfig, out_dir) -> None:
@@ -323,7 +362,7 @@ def write_sweep(rows, config: SweepConfig, out_dir) -> None:
     emit_csv(rows, out / "sweep.csv")
     for figure in FIGURE_COLUMNS:
         emit_plotdata(rows, figure, out / f"{figure}.csv")
-    (out / "sweep.json").write_text(json.dumps(rows_to_json(rows), indent=1))
+    (out / "sweep.json").write_text(_indented_json(rows_to_json(rows)))
     (out / "thresholds.json").write_text(json.dumps(thresholds(rows), indent=1))
     write_manifest(config, out)
 

@@ -4,10 +4,12 @@ Nothing here shares code with the implementation paths it verifies: the
 X-state concurrence is the textbook closed form, the convex-roof value
 is estimated by brute-force minimization over randomly sampled ensemble
 decompositions, the tomography setting kets are built one ``np.kron`` at a
-time, and the Born system is solved by least squares.
+time, the Born system is solved by least squares, and sweep records are
+encoded by ``json.dumps`` with its own indentation.
 """
 
 import itertools
+import json
 
 import numpy as np
 
@@ -124,3 +126,8 @@ def lstsq_born_solution(freqs, projectors):
     sol, *_ = np.linalg.lstsq(a, np.asarray(freqs, dtype=complex), rcond=None)
     x = sol.reshape(dim, dim)
     return 0.5 * (x + x.conj().T)
+
+
+def indented_json(records) -> str:
+    """The reference ``sweep.json`` text: the standard library's indented encoder."""
+    return json.dumps(records, indent=1)

@@ -38,8 +38,11 @@ def test_sweep_is_byte_deterministic(tmp_path, config_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["sweep", "--config", str(config_path), "--out", str(out_a)]) == 0
     assert main(["sweep", "--config", str(config_path), "--out", str(out_b)]) == 0
-    assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
-    assert (out_a / "manifest.json").read_bytes() == (out_b / "manifest.json").read_bytes()
+    names = sorted(path.name for path in out_a.iterdir())
+    assert names == sorted(["sweep.csv", "fig2.csv", "fig3.csv", "fig4.csv", "sweep.json",
+                            "thresholds.json", "manifest.json"])
+    for name in names:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
 def test_thresholds_prints_json(config_path, capsys):
@@ -135,6 +138,11 @@ def test_bad_arguments_exit_one(tmp_path, capsys):
         {**pure, "p_grid": 5},
         {"mixed_system_file": 5},
         {"mixed_system_file": "system.json", "alpha_re": 1.0},
+        {**pure, "p_grid": {"steps": 2.7}},
+        {**pure, "seed": 1.9},
+        {**pure, "seed": True},
+        {**pure, "seed": -1},
+        {**pure, "tomography": {"enabled": True, "seed": -1}},
     ):
         bad.write_text(json.dumps(payload))
         for command in ("sweep", "thresholds", "tomo-roundtrip"):
@@ -142,6 +150,14 @@ def test_bad_arguments_exit_one(tmp_path, capsys):
             assert main([command, "--config", str(bad), "--out", str(tmp_path / "out"),
                          "--shots", "10"]) == 1, (command, payload)
             assert "error: invalid config" in capsys.readouterr().err, (command, payload)
+
+
+def test_negative_seed_override_exits_one(tmp_path, config_path, capsys):
+    for command in ("sweep", "thresholds", "tomo-roundtrip"):
+        capsys.readouterr()
+        assert main([command, "--config", str(config_path), "--out", str(tmp_path / "out"),
+                     "--seed", "-1"]) == 1, command
+        assert "seed must be non-negative" in capsys.readouterr().err, command
 
 
 def test_unknown_figure_protected_internally(config_path, tmp_path):

@@ -4,11 +4,13 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from conftest import ALPHA, BETA, INITIAL_TANGLE, P_ESB, P_ESD
 from entredist.channels import InitialSpec, mixed_system_with_purity
 from entredist.qcore import DensityMatrix, PureState
 from entredist.pipeline import (
     CSV_COLUMNS,
+    FIGURE_COLUMNS,
     SweepConfig,
     emit_csv,
     emit_plotdata,
@@ -18,6 +20,7 @@ from entredist.pipeline import (
     sweep,
     thresholds,
     write_manifest,
+    write_sweep,
 )
 
 
@@ -167,6 +170,63 @@ def test_golden_sweep_file(tmp_path, pure_rows):
     assert path.read_bytes() == golden.read_bytes()
 
 
+def _fail_evolve_at_half(monkeypatch):
+    """Make ``pipeline.evolve`` raise on any stack that holds p = 0.5, before any
+    estimator runs."""
+    import entredist.pipeline as pipeline
+
+    real = pipeline.evolve
+
+    def flaky(state, p1, p2):
+        if 0.5 in np.atleast_1d(p1):
+            raise ValueError("synthetic failure")
+        return real(state, p1, p2)
+
+    monkeypatch.setattr(pipeline, "evolve", flaky)
+
+
+def _artifact_rows(kind, monkeypatch):
+    """Fresh rows and their config for one of the sweep.json oracle cases."""
+    if kind == "empty":
+        return [], pure_config(steps=3)
+    initial = (InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, 0.82))
+               if kind == "mixed" else InitialSpec(alpha=ALPHA, beta=BETA))
+    config = SweepConfig(initial=initial, p_values=tuple(np.linspace(0.0, 1.0, 11)),
+                         estimator="qp", tomography=kind == "tomography", shots=2000, seed=5)
+    if kind == "failed":
+        _fail_evolve_at_half(monkeypatch)
+    return sweep(config), config
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("kind", ["pure", "mixed", "tomography", "failed", "empty"])
+def test_sweep_artifacts_match_the_reference_encodings(monkeypatch, tmp_path, kind):
+    rows, config = _artifact_rows(kind, monkeypatch)
+    assert sum(r.error is not None for r in rows) == (kind == "failed")
+    write_sweep(rows, config, tmp_path)
+    assert (tmp_path / "sweep.json").read_text() == oracles.indented_json(rows_to_json(rows))
+
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        header, *cells = list(csv.reader(fh))
+    assert len(cells) == len(rows)
+    for figure, columns in FIGURE_COLUMNS.items():
+        with open(tmp_path / f"{figure}.csv", newline="") as fh:
+            assert next(csv.reader(fh)) == list(columns)
+            expected = [[row[header.index(name)] if name in header else f"{2 / 3:.12g}"
+                         for name in columns] for row in cells]
+            assert list(csv.reader(fh)) == expected, figure
+
+
+def test_write_sweep_formats_each_cell_once(monkeypatch, tmp_path):
+    import entredist.pipeline as pipeline
+
+    rows = sweep(pure_config(steps=7))
+    real, calls = pipeline._format, []
+    monkeypatch.setattr(pipeline, "_format", lambda value: calls.append(value) or real(value))
+    write_sweep(rows, pure_config(steps=7), tmp_path)
+    assert len(calls) == len(rows) * len(CSV_COLUMNS)
+
+
 def test_rows_to_json_mirror(pure_rows):
     payload = rows_to_json(pure_rows[:3])
     assert payload[0]["p"] == 0.0
@@ -228,21 +288,11 @@ def test_sweep_rows_flag_errors_and_continue(monkeypatch, tmp_path):
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("kind", ["pure", "mixed", "tomography"])
 def test_failed_row_provenance_matches_its_neighbours(monkeypatch, kind):
-    import entredist.pipeline as pipeline
-
     initial = (InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, 0.82))
                if kind == "mixed" else InitialSpec(alpha=ALPHA, beta=BETA))
     config = SweepConfig(initial=initial, p_values=(0.1, 0.5, 0.9), estimator="qp",
                          tomography=kind == "tomography", shots=2000, seed=5)
-    real = pipeline.evolve
-
-    def flaky(state, p1, p2):
-        # fails on any stack that holds the middle grid point, before any estimator runs
-        if 0.5 in np.atleast_1d(p1):
-            raise ValueError("synthetic failure")
-        return real(state, p1, p2)
-
-    monkeypatch.setattr(pipeline, "evolve", flaky)
+    _fail_evolve_at_half(monkeypatch)
     left, failed, right = (row.to_record() for row in sweep(config))
     assert "synthetic failure" in failed["error"] and not left["error"] and not right["error"]
     provenance = ("estimator_pair", "estimator_unbalanced", "tomography")
@@ -288,6 +338,34 @@ def test_config_parsing_and_validation(tmp_path):
                                "p_grid": {"steps": 1}})
     with pytest.raises(ValueError, match="estimator"):
         pure_config(estimator="exact")
+
+    # integer fields take JSON integers only: no booleans, no fractional part
+    pure = {"alpha_re": 1.0, "beta_re": 0.0}
+    cfg = SweepConfig.from_json({**pure, "p_grid": {"steps": 3.0}, "seed": 4.0,
+                                 "tomography": {"shots": 50.0}})
+    assert (len(cfg.p_values), cfg.seed, cfg.shots) == (3, 4, 50)
+    assert type(cfg.seed) is int and type(cfg.shots) is int
+    for payload in (
+        {**pure, "p_grid": {"steps": 2.7}},
+        {**pure, "seed": 1.9},
+        {**pure, "seed": True},
+        {**pure, "seed": "3"},
+        {**pure, "tomography": {"shots": 1.5}},
+        {**pure, "tomography": {"seed": 2.5}},
+        {**pure, "tomography": {"seed": False}},
+        {**pure, "p_grid": {"steps": float("inf")}},
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SweepConfig.from_json(payload)
+
+
+def test_negative_seed_is_rejected():
+    for payload in ({"seed": -1}, {"tomography": {"enabled": True, "seed": -1}}):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SweepConfig.from_json({"alpha_re": 1.0, "beta_re": 0.0, **payload})
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        pure_config(tomography=True, seed=-1)
+    assert pure_config(seed=0).seed == 0
 
 
 NAN = float("nan")
