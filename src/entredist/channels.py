@@ -83,9 +83,18 @@ class InitialSpec:
                 raise ValueError(f"give either amplitudes or mixed_system_file, not both: {given}")
             path = Path(base_dir) / payload["mixed_system_file"]
             return cls(mixed_system=DensityMatrix.from_json(json.loads(path.read_text())))
-        alpha = complex(payload["alpha_re"], payload.get("alpha_im", 0.0))
-        beta = complex(payload["beta_re"], payload.get("beta_im", 0.0))
+        alpha, beta = (complex(_json_float(payload[f"{name}_re"], f"{name}_re"),
+                               _json_float(payload.get(f"{name}_im", 0.0), f"{name}_im"))
+                       for name in ("alpha", "beta"))
         return cls(alpha=alpha, beta=beta)
+
+
+def _json_float(value, name: str) -> float:
+    """``value`` as a float if it is a JSON number: an int or a float, not a boolean
+    or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def initial_state(spec: InitialSpec):

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import InitialSpec, evolve, initial_state, random_family_state
+from .channels import InitialSpec, _json_float, evolve, initial_state, random_family_state
 from .measures import (
     PAIR_CUT,
     TangleReport,
@@ -105,9 +105,12 @@ class SweepConfig:
             steps = _json_int(grid.get("steps", 101), "p_grid.steps")
             if steps < 2:
                 raise ValueError("steps must be at least 2")
-            ps = np.linspace(float(grid.get("start", 0.0)), float(grid.get("stop", 1.0)), steps)
+            ps = np.linspace(_json_float(grid.get("start", 0.0), "p_grid.start"),
+                             _json_float(grid.get("stop", 1.0), "p_grid.stop"), steps)
+        elif isinstance(grid, list):
+            ps = [_json_float(p, "p_grid entry") for p in grid]
         else:
-            ps = [float(p) for p in grid]
+            raise ValueError(f"p_grid must be a JSON object or list, got {grid!r}")
         tomo = payload.get("tomography", {})
         if not isinstance(tomo, dict):
             raise ValueError(f"tomography must be a JSON object, got {tomo!r}")

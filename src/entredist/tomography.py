@@ -7,7 +7,9 @@ the product ket of every setting, indexed by setting id.  A count set
 (:class:`Counts`) is one integer array of binomial counts in setting-id order
 with a common shot number, validated once; states are reconstructed from it
 either by linear inversion or by a certified accelerated projected-gradient
-maximum-likelihood fit.
+maximum-likelihood fit.  Both go through the factored Born map: the settings
+are products over the (S1,S2)|(E1,E2) halves, so every probability, gradient
+and exact inversion is a pair of 16x16 products with a two-qubit half map.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -55,23 +58,35 @@ N_SETTINGS = len(SETTINGS)
 _Z_BASIS = np.array([sid for sid, sel in enumerate(SETTINGS) if set(sel) <= {"Z", "Z'"}])
 
 
-def _product_kets() -> np.ndarray:
-    """Read-only (256, 16) array: row ``id`` is the product ket of ``SETTINGS[id]``.
+# |0>, |1>, |+>, |+i>: the single-qubit kets in SELECTORS order
+_SINGLE_KETS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0j]], dtype=complex)
+_SINGLE_KETS[2:] /= np.sqrt(2.0)
+
+
+def _product_kets(n_qubits: int) -> np.ndarray:
+    """Read-only (4**n, 2**n) array: row ``id`` is the product ket of the selectors
+    whose positions are the base-4 digits of ``id``, most significant first.
 
     Each pass appends one qubit as the least significant factor of both the
     setting id and the ket index, multiplying left to right as ``np.kron`` does.
     """
-    # |0>, |1>, |+>, |+i>: the single-qubit kets in SELECTORS order
-    single = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0j]], dtype=complex)
-    single[2:] /= np.sqrt(2.0)
     kets = np.ones((1, 1), dtype=complex)
-    for _ in range(N_QUBITS):
-        kets = (kets[:, None, :, None] * single[None, :, None, :]).reshape(4 * len(kets), -1)
+    for _ in range(n_qubits):
+        kets = (kets[:, None, :, None] * _SINGLE_KETS[None, :, None, :]).reshape(4 * len(kets), -1)
     kets.flags.writeable = False
     return kets
 
 
-KETS = _product_kets()
+KETS = _product_kets(N_QUBITS)
+
+# The settings are products over the (S1,S2)|(E1,E2) halves: setting id 16u + v
+# measures half setting u on S1,S2 and v on E1,E2, and ket index 4a + c splits
+# the same way.  With the half map M[u, 4a + b] = conj(k_u[a]) k_u[b] over the
+# 16 two-qubit kets k_u, tr(P_{16u+v} X) = (M Y M^T)[u, v] for Y = _by_half(X).
+# M is invertible (condition number 10.4), so the Born map and its inverse are
+# two 16x16 products each.
+_HALF = np.einsum("ua,ub->uab", _product_kets(2).conj(), _product_kets(2)).reshape(16, 16)
+_HALF_INV = np.linalg.inv(_HALF)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,51 +119,67 @@ class Counts:
 
 @lru_cache(maxsize=1)
 def setting_projectors() -> np.ndarray:
-    """Read-only array (256, 16, 16) of the canonical projectors, id order; built once."""
+    """Read-only array (256, 16, 16) of the canonical projectors, id order; built once.
+
+    The reconstructions do not read it: they use the factored Born map.
+    """
     stack = np.einsum("si,sj->sij", KETS, KETS.conj())
     stack.flags.writeable = False
     return stack
 
 
-def _probabilities(rho_mat: np.ndarray, projectors: np.ndarray) -> np.ndarray:
-    probs = np.einsum("sij,ji->s", projectors, rho_mat).real
-    return np.clip(probs, 0.0, 1.0)
+def _by_half(x: np.ndarray) -> np.ndarray:
+    """``x`` (16x16, or a stack of them) with entry [4a + c, 4b + d] moved to
+    [4a + b, 4c + d]: rows grouped by the S1,S2 half, columns by the E1,E2 half.
+    An involution."""
+    return x.reshape(x.shape[:-2] + (4, 4, 4, 4)).swapaxes(-3, -2).reshape(x.shape)
 
 
-def simulate_counts(rho, shots: int, seed: int, projectors: np.ndarray | None = None) -> Counts:
+def _born(mat: np.ndarray) -> np.ndarray:
+    """Re tr(P_s mat) for every setting s, shape (..., 256) in id order."""
+    return (_HALF @ _by_half(mat) @ _HALF.T).real.reshape(mat.shape[:-2] + (N_SETTINGS,))
+
+
+def _born_adjoint(weights: np.ndarray) -> np.ndarray:
+    """sum_s weights[s] P_s for weights of shape (..., 256) in id order."""
+    grid = weights.reshape(weights.shape[:-1] + (16, 16))
+    return _by_half(_HALF.conj().T @ grid @ _HALF.conj())
+
+
+def _probabilities(rho_mat: np.ndarray) -> np.ndarray:
+    """Born probabilities of every setting for the state ``rho_mat``, clipped to [0, 1]."""
+    return np.clip(_born(rho_mat), 0.0, 1.0)
+
+
+def simulate_counts(rho, shots: int, seed: int) -> Counts:
     """Binomial counts for every setting; reproducible for a fixed seed."""
-    projectors = setting_projectors() if projectors is None else projectors
-    probs = _probabilities(as_matrix(rho), projectors)
+    probs = _probabilities(as_matrix(rho))
     return Counts(np.random.default_rng(seed).binomial(shots, probs), shots)
 
 
-def _born_solution(freqs: np.ndarray, projectors: np.ndarray) -> np.ndarray:
+def _born_solution(freqs: np.ndarray) -> np.ndarray:
     """The Hermitian X with tr(P_s X) = freqs[s] for every setting s, not trace-normalised.
 
-    The 256 projectors of a 16-dimensional space make the system square, so
-    one LU solve gives the exact solution; a singular stack raises
-    ``numpy.linalg.LinAlgError`` (a ``ValueError``).
+    The 256 projectors span the 16x16 matrices, so the solution is exact and
+    unique: X = _by_half(M^-1 F M^-T) with F the frequencies as a 16x16 array
+    over the two halves' setting ids.
     """
-    dim = projectors.shape[1]
-    # tr(P X) is the row-major dot product of P with X^T: solving against the
-    # projectors as stored needs no conjugated copy
-    sol = np.linalg.solve(projectors.reshape(N_SETTINGS, -1), freqs)
-    return hermitize(sol.reshape(dim, dim).T)
+    return hermitize(_by_half(_HALF_INV @ freqs.reshape(16, 16) @ _HALF_INV.T))
 
 
-def linear_inversion(count_set: Counts, projectors: np.ndarray | None = None) -> np.ndarray:
-    """Exact solve of the square Born system, scaled to unit trace; Hermitian.
+def linear_inversion(count_set: Counts) -> np.ndarray:
+    """Exact solution of the Born system, scaled to unit trace; Hermitian.
 
-    The 256 projectors span the 16x16 matrices, so the system is square and
-    solved exactly (one LU solve, no least-squares fit); a singular projector
-    stack raises ``ValueError``.  The output is a plain array because finite
-    counts can push eigenvalues negative; feed it through
-    :func:`project_physical` to obtain a state.
+    The 256 projectors span the 16x16 matrices, so the system has one exact
+    solution, two 16x16 products with the inverse half map (no least-squares
+    fit).  The output is a plain array because finite counts can push
+    eigenvalues negative; feed it through :func:`project_physical` to obtain
+    a state.
     """
     freqs = count_set.counts / count_set.shots
     if not freqs[_Z_BASIS].any():
         raise ValueError("no counts in the 16 all-Z/Z' settings: the estimate has zero trace")
-    rho = _born_solution(freqs, setting_projectors() if projectors is None else projectors)
+    rho = _born_solution(freqs)
     return rho / np.trace(rho).real
 
 
@@ -195,7 +226,6 @@ def mle_reconstruct(
     count_set: Counts,
     max_iter: int = 2_000,
     tol: float = 1.0,
-    projectors: np.ndarray | None = None,
 ) -> MleResult:
     """Accelerated projected-gradient maximum-likelihood fit of the binomial counts.
 
@@ -205,8 +235,7 @@ def mle_reconstruct(
     of the Born system (as in :func:`linear_inversion`, before trace
     normalisation) with its eigenvalues projected onto the simplex.  The I/16
     share keeps every probability inside (0, 1), so any count set has a valid
-    start; the projector stack must be invertible, a singular one raises
-    ``ValueError``.  Then FISTA momentum, an Armijo backtracking step, and a
+    start.  Then FISTA momentum, an Armijo backtracking step, and a
     restart whenever the likelihood falls, so accepted iterates never lose
     likelihood.  Momentum is dropped where the extrapolated point leaves the
     likelihood's domain.  By concavity every iterate x certifies
@@ -215,13 +244,17 @@ def mle_reconstruct(
     tr(R x) = 1.  The fit stops once the lowest such bound lies within ``tol``
     nats of the current state, or when a plain step no longer raises the
     likelihood at working precision; it warns and flags the result if the
-    bound still exceeds ``tol``.  ``max_iter=0`` returns the start.
+    bound still exceeds ``tol``.  ``max_iter=0`` returns the start; a
+    negative ``max_iter`` or a negative or non-finite ``tol`` raises
+    ``ValueError``.
     """
+    if not math.isfinite(tol) or tol < 0.0:
+        raise ValueError(f"tol must be a finite non-negative number of nats, got {tol!r}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be non-negative, got {max_iter!r}")
     counts, shots = count_set.counts.astype(float), float(count_set.shots)
     misses = shots - counts
-    projectors = setting_projectors() if projectors is None else projectors
-    flat = np.ascontiguousarray(projectors.reshape(N_SETTINGS, -1))
-    dim = projectors.shape[1]
+    dim = KETS.shape[1]
     total = N_SETTINGS * shots
     freqs, hit, miss = counts / shots, counts > 0, misses > 0
 
@@ -229,7 +262,7 @@ def mle_reconstruct(
         """(log L less its value at the frequencies, Born probabilities), or None
         where log L diverges; the offset keeps line-search differences accurate
         to ~1e-10 nats."""
-        probs = (flat @ mat.T.reshape(-1)).real
+        probs = _born(mat)
         if np.any(probs[hit] < 1e-12) or np.any(probs[miss] > 1.0 - 1e-12):
             return None
         return (counts[hit] @ np.log(probs[hit] / freqs[hit])
@@ -238,7 +271,7 @@ def mle_reconstruct(
     def gradient(probs):
         """grad log L / N at the state with Born probabilities ``probs``."""
         probs = np.clip(probs, 1e-12, 1.0 - 1e-12)  # only zero-count terms get clipped
-        return ((counts / probs - misses / (1.0 - probs)) @ flat).reshape(dim, dim) / total
+        return _born_adjoint(counts / probs - misses / (1.0 - probs)) / total
 
     def ascend(y, ll_y, grad_y, step):
         """Armijo-backtracked projected step from ``y``: (x, log L, grad, step), or None."""
@@ -257,7 +290,7 @@ def mle_reconstruct(
 
     x = x_prev = np.eye(dim, dtype=complex) / dim
     ll, probs = likelihood(x)
-    inverted = 0.99 * _project_eigenvalues(_born_solution(freqs, projectors)) + 0.01 * x
+    inverted = 0.99 * _project_eigenvalues(_born_solution(freqs)) + 0.01 * x
     ll_inverted, probs_inverted = likelihood(inverted)
     if ll_inverted > ll:
         x = x_prev = inverted
@@ -281,7 +314,7 @@ def mle_reconstruct(
         warnings.warn(f"maximum-likelihood fit did not converge in {iterations} iterations "
                       f"(gap bound {gap:.3g} nats > tol {tol:g})")
     rho = DensityMatrix(hermitize(x))
-    ll = _log_likelihood(_probabilities(rho.entries, projectors), counts, shots)
+    ll = _log_likelihood(_probabilities(rho.entries), counts, shots)
     return MleResult(rho, iterations, ll, gap <= tol, gap)
 
 

@@ -4,12 +4,14 @@ Nothing here shares code with the implementation paths it verifies: the
 X-state concurrence is the textbook closed form, the convex-roof value
 is estimated by brute-force minimization over randomly sampled ensemble
 decompositions, the tomography setting kets are built one ``np.kron`` at a
-time, the Born system is solved by least squares, and sweep records are
+time, the Born map goes through the dense frame of the 256 projectors built
+from them, the Born system is solved by least squares, and sweep records are
 encoded by ``json.dumps`` with its own indentation.
 """
 
 import itertools
 import json
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,6 +116,25 @@ def kron_setting_kets():
             ket = np.kron(ket, single[d])
         kets.append(ket)
     return np.array(kets)
+
+
+@lru_cache(maxsize=1)
+def dense_frame():
+    """(256, 256) frame: row s is the projector |k_s><k_s| of setting s, row-major."""
+    kets = kron_setting_kets()
+    frame = np.einsum("si,sj->sij", kets, kets.conj()).reshape(len(kets), -1)
+    frame.flags.writeable = False
+    return frame
+
+
+def dense_born_probabilities(x):
+    """Re tr(P_s x) for every setting s: the frame times x^T, flattened row-major."""
+    return (dense_frame() @ np.asarray(x).T.reshape(-1)).real
+
+
+def dense_born_adjoint(g):
+    """sum_s g[s] P_s as a 16x16 matrix."""
+    return (np.asarray(g) @ dense_frame()).reshape(16, 16)
 
 
 def lstsq_born_solution(freqs, projectors):

@@ -143,6 +143,13 @@ def test_bad_arguments_exit_one(tmp_path, capsys):
         {**pure, "seed": True},
         {**pure, "seed": -1},
         {**pure, "tomography": {"enabled": True, "seed": -1}},
+        {**pure, "p_grid": {"start": False, "stop": True, "steps": 3}},
+        {**pure, "p_grid": {"start": "0", "stop": 1.0, "steps": 3}},
+        {**pure, "p_grid": [0.0, True]},
+        {**pure, "p_grid": [0.0, "0.5"]},
+        {**pure, "p_grid": "01"},
+        {**pure, "alpha_re": True},
+        {**pure, "beta_im": "0"},
     ):
         bad.write_text(json.dumps(payload))
         for command in ("sweep", "thresholds", "tomo-roundtrip"):

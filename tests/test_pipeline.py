@@ -358,6 +358,26 @@ def test_config_parsing_and_validation(tmp_path):
         with pytest.raises(ValueError, match="must be an integer"):
             SweepConfig.from_json(payload)
 
+    # float fields take JSON numbers only: no booleans, no numeric strings
+    cfg = SweepConfig.from_json({"alpha_re": 1, "beta_re": 0,
+                                 "p_grid": {"start": 0, "stop": 1, "steps": 3}})
+    assert cfg.p_values == (0.0, 0.5, 1.0) and cfg.initial.alpha == 1.0
+    for payload, match in (
+        ({**pure, "p_grid": {"start": False, "stop": True, "steps": 3}},
+         "p_grid.start must be a number"),
+        ({**pure, "p_grid": {"stop": "1", "steps": 3}}, "p_grid.stop must be a number"),
+        ({**pure, "p_grid": [0.0, True]}, "p_grid entry must be a number"),
+        ({**pure, "p_grid": ["0", 1.0]}, "p_grid entry must be a number"),
+        ({**pure, "p_grid": "01"}, "p_grid must be a JSON object or list"),
+        ({**pure, "p_grid": 5}, "p_grid must be a JSON object or list"),
+        ({"alpha_re": True, "beta_re": 0.0}, "alpha_re must be a number"),
+        ({"alpha_re": 1.0, "beta_re": "0"}, "beta_re must be a number"),
+        ({**pure, "alpha_im": False}, "alpha_im must be a number"),
+        ({**pure, "beta_im": "0"}, "beta_im must be a number"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            SweepConfig.from_json(payload)
+
 
 def test_negative_seed_is_rejected():
     for payload in ({"seed": -1}, {"tomography": {"enabled": True, "seed": -1}}):

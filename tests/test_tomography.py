@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import ALPHA, BETA, family_state
-from oracles import kron_setting_kets, lstsq_born_solution
+from oracles import (
+    dense_born_adjoint,
+    dense_born_probabilities,
+    kron_setting_kets,
+    lstsq_born_solution,
+)
 from entredist.channels import InitialSpec, initial_state, mixed_system_with_purity
 from entredist.measures import concurrence
 from entredist.qcore import (
@@ -17,9 +22,15 @@ from entredist.qcore import (
 )
 from entredist.tomography import (
     KETS,
+    SELECTORS,
     SETTINGS,
     Counts,
+    _HALF,
+    _HALF_INV,
     _Z_BASIS,
+    _born,
+    _born_adjoint,
+    _by_half,
     _probabilities,
     _project_eigenvalues,
     linear_inversion,
@@ -34,7 +45,7 @@ from entredist.tomography import (
 
 
 def exact_counts(rho, shots=10**9):
-    probs = (setting_projectors().reshape(256, -1) @ rho.entries.T.reshape(-1)).real
+    probs = dense_born_probabilities(rho.entries)
     return np.round(probs * shots).astype(int), shots
 
 
@@ -70,12 +81,27 @@ def test_setting_projectors_built_once_and_read_only():
         first[0, 0, 0] = 0.0
 
 
+def test_factored_born_map_matches_the_dense_frame(rng):
+    assert np.abs(_HALF @ _HALF_INV - np.eye(16)).max() < 1e-13
+    assert np.linalg.cond(_HALF) == pytest.approx(10.4, abs=0.05)
+    g = rng.standard_normal((10, 16, 16)) + 1j * rng.standard_normal((10, 16, 16))
+    stack = g + g.conj().swapaxes(-1, -2)  # random Hermitian matrices
+    weights = rng.standard_normal((10, 256))
+    assert np.array_equal(_by_half(_by_half(stack)), stack)  # an involution
+    # one call on the stack, and one per item, both against the dense frame
+    for x, w, probs, adjoint in zip(stack, weights, _born(stack), _born_adjoint(weights)):
+        for p in (probs, _born(x)):
+            assert np.abs(p - dense_born_probabilities(x)).max() <= 1e-14
+        for a in (adjoint, _born_adjoint(w)):
+            assert np.abs(a - dense_born_adjoint(w)).max() <= 1e-12
+
+
 def test_born_probability_cases():
-    probs = _probabilities(basis_state("0000").density().entries, setting_projectors())
+    probs = _probabilities(basis_state("0000").density().entries)
     assert probs[0] == pytest.approx(1.0, abs=1e-12)
     # the all-|1> projector is orthogonal to |0000>
     assert probs[SETTINGS.index(("Z'",) * 4)] == pytest.approx(0.0, abs=1e-12)
-    probs = _probabilities(np.eye(16) / 16, setting_projectors())
+    probs = _probabilities(np.eye(16) / 16)
     for sid in range(0, 256, 37):
         assert probs[sid] == pytest.approx(1 / 16, abs=1e-12)
 
@@ -94,7 +120,7 @@ def test_simulate_counts_law_of_large_numbers():
     rho = family_state(0.5).density()
     shots = 10**6
     counts = simulate_counts(rho, shots, seed=3)
-    probs = (setting_projectors().reshape(256, -1) @ rho.entries.T.reshape(-1)).real
+    probs = dense_born_probabilities(rho.entries)
     for count, p in zip(counts.counts, probs):
         sigma = np.sqrt(max(p * (1 - p), 1e-12) / shots)
         assert abs(count / shots - p) < max(3 * sigma, 5e-6)
@@ -151,39 +177,12 @@ def test_linear_inversion_rejects_counts_without_trace():
         linear_inversion(counts)
 
 
-def local_rotation(rng):
-    """A random product of four single-qubit unitaries, as one 16x16 matrix."""
-    us = [np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
-          for _ in range(4)]
-    full = np.array([[1.0]], dtype=complex)
-    for u in us:
-        full = np.kron(full, u)
-    return full
-
-
-def rotated_projectors(full):
-    return np.einsum("ab,sbc,dc->sad", full, setting_projectors(), full.conj())
-
-
-@pytest.mark.parametrize("shots, rotated", [(1000, False), (100_000, False), (30_000, True)],
-                         ids=["1e3", "1e5", "rotated-stack"])
-def test_linear_inversion_matches_the_least_squares_oracle(shots, rotated):
-    projectors = (rotated_projectors(local_rotation(np.random.default_rng(13))) if rotated
-                  else setting_projectors())
-    counts = simulate_counts(family_state(0.35).density(), shots, seed=13, projectors=projectors)
-    expected = lstsq_born_solution(counts.counts / counts.shots, projectors)
+@pytest.mark.parametrize("shots", [1000, 100_000], ids=["1e3", "1e5"])
+def test_linear_inversion_matches_the_least_squares_oracle(shots):
+    counts = simulate_counts(family_state(0.35).density(), shots, seed=13)
+    expected = lstsq_born_solution(counts.counts / counts.shots, setting_projectors())
     expected /= np.trace(expected).real
-    assert np.abs(linear_inversion(counts, projectors=projectors) - expected).max() < 1e-12
-
-
-def test_singular_projector_stack_is_refused():
-    singular = setting_projectors().copy()
-    singular[1] = singular[0]  # a repeated setting leaves the Born system rank-deficient
-    counts = simulate_counts(family_state(0.5).density(), 1000, seed=3)
-    with pytest.raises(ValueError):
-        linear_inversion(counts, projectors=singular)
-    with pytest.raises(ValueError):
-        mle_reconstruct(counts, projectors=singular)
+    assert np.abs(linear_inversion(counts) - expected).max() < 1e-12
 
 
 def test_linear_inversion_mixed_recovery_with_noise():
@@ -238,8 +237,7 @@ def test_mle_log_likelihood_reported_and_warns_on_iteration_cap():
 
 
 def log_likelihood(rho, count_set):
-    probs = np.clip((setting_projectors().reshape(256, -1) @ rho.T.reshape(-1)).real,
-                    1e-12, 1.0 - 1e-12)
+    probs = np.clip(dense_born_probabilities(rho), 1e-12, 1.0 - 1e-12)
     counts = count_set.counts.astype(float)
     shots = np.full(256, float(count_set.shots))
     return float(np.sum(counts * np.log(probs) + (shots - counts) * np.log1p(-probs)))
@@ -311,32 +309,76 @@ def test_mle_runs_on_experimental_like_mixed_state():
     assert c_fit == pytest.approx(c_true, abs=0.02)
 
 
+@pytest.mark.parametrize("mle_arguments, match", [
+    ({"tol": float("nan")}, "tol"),
+    ({"tol": float("inf")}, "tol"),
+    ({"tol": -1.0}, "tol"),
+    ({"max_iter": -3}, "max_iter"),
+], ids=["tol-nan", "tol-inf", "tol-negative", "max-iter-negative"])
+def test_mle_refuses_arguments_that_cannot_certify(mle_arguments, match):
+    counts = simulate_counts(family_state(0.5).density(), 1000, seed=3)
+    with pytest.raises(ValueError, match=match):
+        mle_reconstruct(counts, **mle_arguments)
+
+
 @pytest.mark.filterwarnings("ignore:maximum-likelihood")
-def test_reconstruction_equivariant_under_local_rotations(rng):
-    psi = family_state(0.35)
-    rho = psi.density()
-    full = local_rotation(rng)
-    rho_rot = DensityMatrix(full @ rho.entries @ full.conj().T)
-    projectors = setting_projectors()
-    projectors_rot = rotated_projectors(full)
+def test_mle_accepts_zero_tolerance_and_zero_iterations():
+    counts = simulate_counts(family_state(0.5).density(), 1000, seed=3)
+    assert mle_reconstruct(counts, max_iter=0, tol=0.0).iterations == 0
+    assert mle_reconstruct(counts, max_iter=3, tol=0.0).iterations <= 3
 
-    # the rotated pair (rho', Pi') has bitwise-identical Born probabilities
-    probs = np.einsum("sij,ji->s", projectors, rho.entries).real
-    probs_rot = np.einsum("sij,ji->s", projectors_rot, rho_rot.entries).real
-    assert np.abs(probs - probs_rot).max() < 1e-12
 
-    # reconstructing the same counts against the rotated projector set must
-    # give the conjugated state
-    counts = simulate_counts(rho, 30_000, seed=13)
+def permute_qubits(order):
+    """Setting ids and a 16x16 matrix mapped to their images when new qubit k is
+    old qubit ``order[k]`` (qubit 0 = S1, the most significant digit or bit)."""
+    digits = np.array([[SELECTORS.index(sel) for sel in selectors] for selectors in SETTINGS])
+    ids = digits[:, list(order)] @ (4 ** np.arange(3, -1, -1))
+
+    def state(mat):
+        return mat.reshape((2,) * 8).transpose(list(order) + [4 + q for q in order]).reshape(16, 16)
+
+    return ids, state
+
+
+@pytest.mark.filterwarnings("ignore:maximum-likelihood")
+@pytest.mark.parametrize("order", [(2, 1, 0, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 0, 2, 1)],
+                         ids=["S1-E1", "within-halves", "halves-swapped", "cycle"])
+def test_reconstruction_equivariant_under_qubit_permutations(order):
+    # relabelling the qubits of the state and of every setting leaves each Born
+    # probability in place; S1<->E1 moves entries across the (S1,S2)|(E1,E2) split
+    rho = family_state(0.35).density().entries
+    ids, permute = permute_qubits(order)
+    assert sorted(ids) == list(range(256))
+    assert np.abs(_born(permute(rho))[ids] - _born(rho)).max() < 1e-15
+
+    counts = simulate_counts(DensityMatrix(rho), 30_000, seed=13)
+    permuted = np.empty(256, dtype=np.int64)
+    permuted[ids] = counts.counts
+    permuted = Counts(permuted, counts.shots)
 
     lin = linear_inversion(counts)
-    lin_rot = linear_inversion(counts, projectors=projectors_rot)
-    assert np.abs(lin_rot - full @ lin @ full.conj().T).max() < 1e-6
+    assert np.abs(linear_inversion(permuted) - permute(lin)).max() < 1e-12
 
     mle = mle_reconstruct(counts, max_iter=3000, tol=1e-6).rho.entries
-    mle_rot = mle_reconstruct(counts, max_iter=3000, tol=1e-6,
-                              projectors=projectors_rot).rho.entries
-    assert np.abs(mle_rot - full @ mle @ full.conj().T).max() < 1e-6
+    mle_permuted = mle_reconstruct(permuted, max_iter=3000, tol=1e-6).rho.entries
+    assert np.abs(mle_permuted - permute(mle)).max() < 1e-6
+
+
+# sha256 of the int64 little-endian counts of the three benchmark round trips at
+# fixed count seeds: a change to the Born map that flips one binomial draw fails here
+PINNED_COUNTS_SHA256 = {
+    (0.25, 100_000, 1401): "c55a508780eb873ecbe54338a08149b8bbb30050a1a2394449f33c2f1cb3a32f",
+    (0.75, 1_000_000, 1402): "7c40e1f4709a04c66cf57c6636f3cdf36640f99e17dce1f6aafa1f2b48b75724",
+    (0.5, 1_000_000, 2026): "efb2dcde839f063a89eb9092126e20475e774c156d298e3b678c80de85a32ca6",
+}
+
+
+@pytest.mark.parametrize("p, shots, seed", list(PINNED_COUNTS_SHA256),
+                         ids=["p0.25-1e5", "p0.75-1e6", "criterion12"])
+def test_simulated_counts_are_pinned(p, shots, seed):
+    counts = simulate_counts(family_state(p).density(), shots, seed).counts
+    digest = hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest()
+    assert digest == PINNED_COUNTS_SHA256[(p, shots, seed)]
 
 
 def test_counts_csv_round_trip(tmp_path):
