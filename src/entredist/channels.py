@@ -21,6 +21,7 @@ from .qcore import (
     NORM_ATOL,
     DensityMatrix,
     PureState,
+    _json_float,
     kron,
 )
 
@@ -87,14 +88,6 @@ class InitialSpec:
                                _json_float(payload.get(f"{name}_im", 0.0), f"{name}_im"))
                        for name in ("alpha", "beta"))
         return cls(alpha=alpha, beta=beta)
-
-
-def _json_float(value, name: str) -> float:
-    """``value`` as a float if it is a JSON number: an int or a float, not a boolean
-    or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
 
 
 def initial_state(spec: InitialSpec):

@@ -158,10 +158,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parse_args fills a fresh namespace on every call, so
+# the parser holds no state from one call to the next.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on bad arguments; the contract wants 1
         return 0 if exc.code in (0, None) else 1

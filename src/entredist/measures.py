@@ -11,7 +11,7 @@ The kernels behind :func:`compute_report` take a leading batch axis: given
 a stack of states they return one value per state, computed by the same
 arithmetic as for a single state, so each number has one route.  Where a
 stacked numpy operation would round differently from the per-state one
-(Python's float power, a vector norm), the kernel keeps a per-item loop.
+(Python's float power), the kernel keeps a per-item loop.
 The quasi-pure tangles of a :class:`DensityMatrix` share one cached
 eigendecomposition, and each cut costs a factored overlap contraction.
 """
@@ -286,9 +286,13 @@ def compress_pair_to_qubit(psi: PureState, pair) -> PureState:
     axes = list(range(len(lead))) + [len(lead) + q for q in kept + list(pair_slots)]
     t = amps.reshape(lead + (2,) * 4).transpose(axes).reshape(lead + (4, 4))
     out = t @ iso.conj()  # (kept, effective)
-    # one norm per item: norm(axis=...) sums in another order
-    norm = np.array([float(np.linalg.norm(o)) for o in out.reshape(-1, 4, 2)])
-    return PureState(out.reshape(lead + (8,)) / norm.reshape(lead + (1,)))
+    # np.linalg.norm of one item is sqrt(re.re + im.im) with BLAS dots; a stacked
+    # (1, 8) @ (8, 1) matmul runs the same dot per item, so the norms are
+    # bit-equal (norm(axis=...) sums in another order)
+    flat = out.reshape(lead + (8,))
+    re, im = flat.real[..., None, :], flat.imag[..., None, :]
+    norm = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))
+    return PureState(flat / norm[..., 0])
 
 
 def effective_three_tangle(psi: PureState, pair):

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import InitialSpec, _json_float, evolve, initial_state, random_family_state
+from .channels import InitialSpec, evolve, initial_state, random_family_state
 from .measures import (
     PAIR_CUT,
     TangleReport,
@@ -36,6 +36,8 @@ from .measures import (
 )
 from .qcore import (
     DensityMatrix,
+    _json_float,
+    _json_int,
     as_matrix,
     fidelity_pure,
     haar_state,
@@ -142,14 +144,6 @@ class SweepConfig:
         if self.initial.mixed_system is not None:
             payload["mixed_system"] = self.initial.mixed_system.to_json()
         return json.dumps(payload, sort_keys=True)
-
-
-def _json_int(value, name: str) -> int:
-    """``value`` as an int if it is a JSON integer: a number, not a boolean, with no
-    fractional part."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

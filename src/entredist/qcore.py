@@ -358,10 +358,37 @@ def state_to_json(state) -> dict:
     }
 
 
+def _json_float(value, name: str) -> float:
+    """``value`` as a float if it is a JSON number: an int or a float, not a boolean
+    or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_int(value, name: str) -> int:
+    """``value`` as an int if it is a JSON integer: a number, not a boolean, with no
+    fractional part."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _json_floats(values, name: str) -> np.ndarray:
+    """``values`` as a float array if it is a JSON list of numbers."""
+    if not isinstance(values, list):
+        raise ValueError(f"{name} must be a list of numbers, got {type(values).__name__}")
+    return np.array([_json_float(v, f"{name} entry") for v in values], dtype=float)
+
+
 def state_from_json(payload: dict):
-    """Inverse of :func:`state_to_json`; the array length selects the kind."""
-    n = int(payload["n_qubits"])
-    data = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)
+    """Inverse of :func:`state_to_json`; the array length selects the kind.
+
+    ``n_qubits`` must be a JSON integer and every ``re``/``im`` entry a JSON
+    number: booleans and numeric strings raise ``ValueError``.
+    """
+    n = _json_int(payload["n_qubits"], "n_qubits")
+    data = _json_floats(payload["re"], "re") + 1j * _json_floats(payload["im"], "im")
     dim = 2 ** n
     if data.size == dim:
         return PureState(data)

@@ -86,6 +86,7 @@ KETS = _product_kets(N_QUBITS)
 # M is invertible (condition number 10.4), so the Born map and its inverse are
 # two 16x16 products each.
 _HALF = np.einsum("ua,ub->uab", _product_kets(2).conj(), _product_kets(2)).reshape(16, 16)
+_HALF_CONJ = _HALF.conj()
 _HALF_INV = np.linalg.inv(_HALF)
 
 
@@ -143,7 +144,7 @@ def _born(mat: np.ndarray) -> np.ndarray:
 def _born_adjoint(weights: np.ndarray) -> np.ndarray:
     """sum_s weights[s] P_s for weights of shape (..., 256) in id order."""
     grid = weights.reshape(weights.shape[:-1] + (16, 16))
-    return _by_half(_HALF.conj().T @ grid @ _HALF.conj())
+    return _by_half(_HALF_CONJ.T @ grid @ _HALF_CONJ)
 
 
 def _probabilities(rho_mat: np.ndarray) -> np.ndarray:
@@ -183,12 +184,17 @@ def linear_inversion(count_set: Counts) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+# 1, 2, ..., 16: the ranks of a four-qubit spectrum in the simplex projection
+_RANKS = np.arange(1.0, 2.0 ** N_QUBITS + 1.0)
+
+
 def _project_eigenvalues(mat: np.ndarray) -> np.ndarray:
     """Nearest (Frobenius) PSD unit-trace matrix to the Hermitian ``mat``: the
     eigenvalues are projected onto the probability simplex, the eigenvectors kept."""
     w, v = np.linalg.eigh(mat)
     desc = w[::-1]
-    shift = (np.cumsum(desc) - 1.0) / np.arange(1, w.size + 1)
+    ranks = _RANKS if w.size == _RANKS.size else np.arange(1.0, w.size + 1.0)
+    shift = (np.cumsum(desc) - 1.0) / ranks
     theta = shift[np.nonzero(desc > shift)[0][-1]]
     return (v * np.clip(w - theta, 0.0, None)) @ v.conj().T
 
@@ -217,6 +223,13 @@ class MleResult:
     gap_bound: float
 
 
+# Growth of the trial step after each accepted iteration.  The accepted step
+# settles near a fixed scale and each rejected trial halves it, so growing by
+# 1.25 costs one rejected trial (one extra projection) about every third
+# iteration, where doubling would cost one nearly every iteration.
+_STEP_GROWTH = 1.25
+
+
 def _log_likelihood(probs: np.ndarray, counts: np.ndarray, shots: float) -> float:
     p = np.clip(probs, 1e-12, 1.0 - 1e-12)
     return float(np.sum(counts * np.log(p) + (shots - counts) * np.log1p(-p)))
@@ -235,8 +248,9 @@ def mle_reconstruct(
     of the Born system (as in :func:`linear_inversion`, before trace
     normalisation) with its eigenvalues projected onto the simplex.  The I/16
     share keeps every probability inside (0, 1), so any count set has a valid
-    start.  Then FISTA momentum, an Armijo backtracking step, and a
-    restart whenever the likelihood falls, so accepted iterates never lose
+    start.  Then FISTA momentum, an Armijo backtracking step (halved per
+    rejected trial, grown by ``_STEP_GROWTH`` = 1.25 after each accepted
+    iteration), and a restart whenever the likelihood falls, so accepted iterates never lose
     likelihood.  Momentum is dropped where the extrapolated point leaves the
     likelihood's domain.  By concavity every iterate x certifies
     log L(sigma) <= log L(x) + N (lambda_max(R) - 1) for every state sigma,
@@ -253,25 +267,34 @@ def mle_reconstruct(
     if max_iter < 0:
         raise ValueError(f"max_iter must be non-negative, got {max_iter!r}")
     counts, shots = count_set.counts.astype(float), float(count_set.shots)
-    misses = shots - counts
     dim = KETS.shape[1]
     total = N_SETTINGS * shots
-    freqs, hit, miss = counts / shots, counts > 0, misses > 0
+    freqs = counts / shots
+    # only settings with hits (misses) carry a log p (log(1 - p)) term: gather
+    # their ids, counts and frequencies, and the gradient's weights of log L / N
+    hit, miss = np.flatnonzero(counts > 0), np.flatnonzero(counts < shots)
+    n_hit, n_miss = counts[hit], shots - counts[miss]
+    f_hit, f_miss = freqs[hit], 1.0 - freqs[miss]
+    w_hit, w_miss = n_hit / total, n_miss / total
 
     def likelihood(mat):
-        """(log L less its value at the frequencies, Born probabilities), or None
-        where log L diverges; the offset keeps line-search differences accurate
-        to ~1e-10 nats."""
+        """(log L less its value at the frequencies, (p, 1 - p) at the hit and
+        miss settings), or None where log L diverges; the offset keeps
+        line-search differences accurate to ~1e-10 nats."""
         probs = _born(mat)
-        if np.any(probs[hit] < 1e-12) or np.any(probs[miss] > 1.0 - 1e-12):
+        p_hit, p_miss = probs[hit], probs[miss]
+        if p_hit.min(initial=1.0) < 1e-12 or p_miss.max(initial=0.0) > 1.0 - 1e-12:
             return None
-        return (counts[hit] @ np.log(probs[hit] / freqs[hit])
-                + misses[miss] @ np.log((1.0 - probs[miss]) / (1.0 - freqs[miss]))), probs
+        q_miss = 1.0 - p_miss
+        return n_hit @ np.log(p_hit / f_hit) + n_miss @ np.log(q_miss / f_miss), (p_hit, q_miss)
 
     def gradient(probs):
-        """grad log L / N at the state with Born probabilities ``probs``."""
-        probs = np.clip(probs, 1e-12, 1.0 - 1e-12)  # only zero-count terms get clipped
-        return _born_adjoint(counts / probs - misses / (1.0 - probs)) / total
+        """grad log L / N at the state with gathered probabilities ``probs``."""
+        p_hit, q_miss = probs
+        weights = np.zeros(N_SETTINGS)
+        weights[hit] = w_hit / p_hit
+        weights[miss] -= w_miss / q_miss
+        return _born_adjoint(weights)
 
     def ascend(y, ll_y, grad_y, step):
         """Armijo-backtracked projected step from ``y``: (x, log L, grad, step), or None."""
@@ -308,7 +331,7 @@ def mle_reconstruct(
         if found is None or found[1] <= ll:
             break  # no ascent left at working precision
         x_prev, (x, ll, grad, step), t = x, found, t_next
-        bound, iterations, step = min(bound, certified(x, ll, grad)), iterations + 1, 2.0 * step
+        bound, iterations, step = min(bound, certified(x, ll, grad)), iterations + 1, _STEP_GROWTH * step
     gap = max(0.0, float(bound - ll))
     if gap > tol:
         warnings.warn(f"maximum-likelihood fit did not converge in {iterations} iterations "

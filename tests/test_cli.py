@@ -159,6 +159,38 @@ def test_bad_arguments_exit_one(tmp_path, capsys):
             assert "error: invalid config" in capsys.readouterr().err, (command, payload)
 
 
+def test_mixed_system_file_with_non_number_entries_exits_one(tmp_path, capsys):
+    # |00><00| on two qubits, spelled with a string n_qubits and boolean entries
+    payload = {"n_qubits": "2", "re": [True] + [False] * 15, "im": [False] * 16}
+    (tmp_path / "system.json").write_text(json.dumps(payload))
+    cfg = tmp_path / "mixed.json"
+    cfg.write_text(json.dumps({"mixed_system_file": "system.json", "p_grid": {"steps": 3}}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "error: invalid config: n_qubits must be an integer" in capsys.readouterr().err
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    import entredist.cli as cli
+
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt by main"))
+    monkeypatch.setattr(cli, "invariant_checks", lambda seed=0: [])
+    assert main(["check-invariants"]) == 0
+    assert main(["sweep"]) == 1  # argparse errors still exit 1
+
+
+def test_successive_calls_share_no_parsed_state(tmp_path, config_path):
+    # one parser serves every call: the flags of one call must not reach the next
+    command = ["thresholds", "--config", str(config_path), "--out"]
+    assert main([*command, str(tmp_path / "before")]) == 0
+    assert main([*command, str(tmp_path / "flags"), "--seed", "99", "--shots", "500",
+                 "--estimator", "qp"]) == 0
+    assert main([*command, str(tmp_path / "after")]) == 0
+    manifest = {name: json.loads((tmp_path / name / "manifest.json").read_text())
+                for name in ("before", "flags", "after")}
+    assert manifest["flags"]["seed"] == 99
+    assert manifest["after"] == manifest["before"] and manifest["after"]["seed"] == 7
+
+
 def test_negative_seed_override_exits_one(tmp_path, config_path, capsys):
     for command in ("sweep", "thresholds", "tomo-roundtrip"):
         capsys.readouterr()

@@ -192,3 +192,20 @@ def test_json_roundtrip_is_bit_exact(rng):
 def test_json_rejects_odd_lengths():
     with pytest.raises(ValueError):
         state_from_json({"n_qubits": 2, "re": [1.0] * 5, "im": [0.0] * 5})
+
+
+@pytest.mark.parametrize("payload, match", [
+    ({"n_qubits": "2", "re": ["1", False, False, False], "im": [False] * 4}, "n_qubits"),
+    ({"n_qubits": "2", "re": [1.0, 0.0, 0.0, 0.0], "im": [0.0] * 4}, "n_qubits"),
+    ({"n_qubits": True, "re": [1.0, 0.0], "im": [0.0, 0.0]}, "n_qubits"),
+    ({"n_qubits": 2.5, "re": [1.0, 0.0, 0.0, 0.0], "im": [0.0] * 4}, "n_qubits"),
+    ({"n_qubits": 2, "re": ["1", 0.0, 0.0, 0.0], "im": [0.0] * 4}, "re entry"),
+    ({"n_qubits": 2, "re": [True, 0.0, 0.0, 0.0], "im": [0.0] * 4}, "re entry"),
+    ({"n_qubits": 2, "re": [1.0, 0.0, 0.0, 0.0], "im": [0.0, False, 0.0, 0.0]}, "im entry"),
+    ({"n_qubits": 2, "re": "1000", "im": [0.0] * 4}, "re must be a list"),
+], ids=["issue-payload", "string-n", "bool-n", "fractional-n", "string-entry", "bool-entry",
+        "bool-im-entry", "string-re"])
+def test_json_rejects_non_number_fields(payload, match):
+    # booleans and numeric strings would otherwise convert silently (the first is |00>)
+    with pytest.raises(ValueError, match=match):
+        state_from_json(payload)

@@ -20,6 +20,7 @@ from entredist.qcore import (
     partial_trace,
     purity,
 )
+from entredist import tomography
 from entredist.tomography import (
     KETS,
     SELECTORS,
@@ -270,6 +271,30 @@ def test_mle_default_fit_converges_on_criterion_12_counts():
     result = mle_reconstruct(counts)
     assert result.converged and result.gap_bound <= 1.0
     assert result.iterations <= 45  # 55 from I/16: the inverted start wins here
+
+
+@pytest.mark.parametrize("p, shots, seed", [(0.5, 10**6, 2026), (0.75, 10**6, 1402)],
+                         ids=["criterion12", "p0.75-1e6"])
+def test_mle_makes_few_projections_per_iteration(monkeypatch, p, shots, seed):
+    # each Armijo trial costs one projection; growing the step by 1.25 after an
+    # accepted iteration, not doubling it, rejects a trial only every third
+    # iteration or so (doubling made about 2.05 projections per iteration)
+    counts = simulate_counts(family_state(p).density(), shots, seed=seed)
+    calls = []
+    monkeypatch.setattr(tomography, "_project_eigenvalues",
+                        lambda mat: calls.append(1) or _project_eigenvalues(mat))
+    result = mle_reconstruct(counts)
+    assert result.converged
+    assert len(calls) <= 1.5 * result.iterations  # the count includes the start's projection
+
+
+@pytest.mark.filterwarnings("ignore:maximum-likelihood")
+def test_mle_precision_floor_on_criterion_12_counts():
+    # asked for 1e-5 nats, the fit stops where a plain step no longer raises the
+    # likelihood at working precision; leaner arithmetic must not raise that floor
+    counts = simulate_counts(family_state(0.5).density(), 10**6, seed=2026)
+    result = mle_reconstruct(counts, tol=1e-5)
+    assert result.iterations < 2_000 and result.gap_bound <= 0.05
 
 
 @pytest.mark.filterwarnings("ignore:maximum-likelihood")
