@@ -184,17 +184,12 @@ def linear_inversion(count_set: Counts) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-# 1, 2, ..., 16: the ranks of a four-qubit spectrum in the simplex projection
-_RANKS = np.arange(1.0, 2.0 ** N_QUBITS + 1.0)
-
-
 def _project_eigenvalues(mat: np.ndarray) -> np.ndarray:
     """Nearest (Frobenius) PSD unit-trace matrix to the Hermitian ``mat``: the
     eigenvalues are projected onto the probability simplex, the eigenvectors kept."""
     w, v = np.linalg.eigh(mat)
     desc = w[::-1]
-    ranks = _RANKS if w.size == _RANKS.size else np.arange(1.0, w.size + 1.0)
-    shift = (np.cumsum(desc) - 1.0) / ranks
+    shift = (np.cumsum(desc) - 1.0) / np.arange(1, w.size + 1)
     theta = shift[np.nonzero(desc > shift)[0][-1]]
     return (v * np.clip(w - theta, 0.0, None)) @ v.conj().T
 

@@ -273,28 +273,38 @@ def test_mle_default_fit_converges_on_criterion_12_counts():
     assert result.iterations <= 45  # 55 from I/16: the inverted start wins here
 
 
-@pytest.mark.parametrize("p, shots, seed", [(0.5, 10**6, 2026), (0.75, 10**6, 1402)],
-                         ids=["criterion12", "p0.75-1e6"])
-def test_mle_makes_few_projections_per_iteration(monkeypatch, p, shots, seed):
+@pytest.fixture(scope="module")
+def guard_count_sets():
+    """Criterion 12 plus five count sets each at (p 0.25, 1e5 shots) and (p 0.75,
+    1e6 shots); the step rule was chosen on other seeds."""
+    draws = ([(0.5, 10**6, 2026)] + [(0.25, 10**5, seed) for seed in range(1100, 1105)]
+             + [(0.75, 10**6, seed) for seed in range(1500, 1505)])
+    return [simulate_counts(family_state(p).density(), shots, seed=seed) for p, shots, seed in draws]
+
+
+def test_mle_makes_few_projections_per_iteration(monkeypatch, guard_count_sets):
     # each Armijo trial costs one projection; growing the step by 1.25 after an
     # accepted iteration, not doubling it, rejects a trial only every third
     # iteration or so (doubling made about 2.05 projections per iteration)
-    counts = simulate_counts(family_state(p).density(), shots, seed=seed)
     calls = []
     monkeypatch.setattr(tomography, "_project_eigenvalues",
                         lambda mat: calls.append(1) or _project_eigenvalues(mat))
-    result = mle_reconstruct(counts)
-    assert result.converged
-    assert len(calls) <= 1.5 * result.iterations  # the count includes the start's projection
+    ratios = []
+    for counts in guard_count_sets:
+        calls.clear()
+        result = mle_reconstruct(counts)
+        assert result.converged
+        ratios.append(len(calls) / result.iterations)  # the start's projection included
+    assert np.median(ratios) <= 1.5
 
 
 @pytest.mark.filterwarnings("ignore:maximum-likelihood")
-def test_mle_precision_floor_on_criterion_12_counts():
-    # asked for 1e-5 nats, the fit stops where a plain step no longer raises the
+def test_mle_precision_floor(guard_count_sets):
+    # asked for 1e-5 nats, a fit stops where a plain step no longer raises the
     # likelihood at working precision; leaner arithmetic must not raise that floor
-    counts = simulate_counts(family_state(0.5).density(), 10**6, seed=2026)
-    result = mle_reconstruct(counts, tol=1e-5)
-    assert result.iterations < 2_000 and result.gap_bound <= 0.05
+    results = [mle_reconstruct(counts, tol=1e-5) for counts in guard_count_sets]
+    assert all(result.iterations < 2_000 for result in results)
+    assert np.median([result.gap_bound for result in results]) <= 0.05
 
 
 @pytest.mark.filterwarnings("ignore:maximum-likelihood")
