@@ -23,6 +23,7 @@ from .qcore import (
     PureState,
     _json_float,
     kron,
+    state_from_json,
 )
 
 __all__ = [
@@ -61,7 +62,9 @@ class InitialSpec:
         if self.mixed_system is not None:
             if self.alpha is not None or self.beta is not None:
                 raise ValueError("give either (alpha, beta) or mixed_system, not both")
-            if self.mixed_system.n_qubits != 2:
+            if isinstance(self.mixed_system, PureState):
+                raise ValueError("mixed_system describes a pure state, not a density matrix")
+            if not isinstance(self.mixed_system, DensityMatrix) or self.mixed_system.n_qubits != 2:
                 raise ValueError("mixed_system must be a 2-qubit density matrix")
             return
         if self.alpha is None or self.beta is None:
@@ -83,7 +86,7 @@ class InitialSpec:
             if given:
                 raise ValueError(f"give either amplitudes or mixed_system_file, not both: {given}")
             path = Path(base_dir) / payload["mixed_system_file"]
-            return cls(mixed_system=DensityMatrix.from_json(json.loads(path.read_text())))
+            return cls(mixed_system=state_from_json(json.loads(path.read_text())))
         alpha, beta = (complex(_json_float(payload[f"{name}_re"], f"{name}_re"),
                                _json_float(payload.get(f"{name}_im", 0.0), f"{name}_im"))
                        for name in ("alpha", "beta"))
@@ -107,8 +110,14 @@ def initial_state(spec: InitialSpec):
     return DensityMatrix(kron(spec.mixed_system.entries, env))
 
 
-def _dilation(p) -> np.ndarray:
-    """The 4x4 dilation at each strength in ``p`` (a scalar or an array of them)."""
+def ad_unitary(p) -> np.ndarray:
+    """4x4 dilation unitary on one (S_i, E_i) pair, basis order |se> = 00,01,10,11.
+
+    |00> is fixed, |10> -> sqrt(1-p)|10> + sqrt(p)|01>, and the unpopulated
+    sector is completed as the rotation |01> -> sqrt(1-p)|01> - sqrt(p)|10>,
+    |11> -> |11>, which keeps the matrix real orthogonal.  An array of
+    strengths gives a stack of unitaries of shape ``p.shape + (4, 4)``.
+    """
     p = np.asarray(p, dtype=float)
     if not np.all((0.0 <= p) & (p <= 1.0)):  # also false for NaN
         bad = p.flat[np.argmin((0.0 <= p) & (p <= 1.0))]
@@ -122,22 +131,12 @@ def _dilation(p) -> np.ndarray:
     return u
 
 
-def ad_unitary(p: float) -> np.ndarray:
-    """4x4 dilation unitary on one (S_i, E_i) pair, basis order |se> = 00,01,10,11.
-
-    |00> is fixed, |10> -> sqrt(1-p)|10> + sqrt(p)|01>, and the unpopulated
-    sector is completed as the rotation |01> -> sqrt(1-p)|01> - sqrt(p)|10>,
-    |11> -> |11>, which keeps the matrix real orthogonal.
-    """
-    return _dilation(float(p))
-
-
 def full_unitary(p1, p2) -> np.ndarray:
     """16x16 unitary applying the (S1,E1) dilation at p1 and (S2,E2) at p2.
 
     Arrays of strengths give a stack of unitaries, one per pair (p1[k], p2[k]).
     """
-    a, b = _dilation(p1), _dilation(p2)
+    a, b = ad_unitary(p1), ad_unitary(p2)
     lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     # The Kronecker product with its axes already in register order: a's slots
     # (S1, E1; S1', E1') and b's (S2, E2; S2', E2') interleave.
@@ -177,7 +176,7 @@ def evolve(state, p1, p2):
     return DensityMatrix(u @ state.entries @ u.conj().swapaxes(-1, -2))
 
 
-def random_family_state(rng: np.random.Generator, p1=None, p2=None) -> PureState:
+def random_family_state(rng: np.random.Generator) -> PureState:
     """Random member of the damped family: random alpha,beta phases and strengths.
 
     Every state produced this way has rank-two (S1,E1) and (S2,E2) marginals,
@@ -186,8 +185,7 @@ def random_family_state(rng: np.random.Generator, p1=None, p2=None) -> PureState
     t = rng.uniform(0.05, math.pi / 2 - 0.05)
     alpha = math.cos(t) * np.exp(1j * rng.uniform(0, 2 * math.pi))
     beta = math.sin(t) * np.exp(1j * rng.uniform(0, 2 * math.pi))
-    p1 = rng.uniform() if p1 is None else p1
-    p2 = rng.uniform() if p2 is None else p2
+    p1, p2 = rng.uniform(), rng.uniform()
     return evolve(initial_state(InitialSpec(alpha=alpha, beta=beta)), p1, p2)
 
 

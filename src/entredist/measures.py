@@ -376,15 +376,15 @@ def _residual_single(state, i: Subsystem, c2):
     return big - sum(c2[tuple(sorted((i, j)))] for j in ALL_SUBSYSTEMS if j != i)
 
 
-def residual_pair_cut(state, estimator: str = "lb") -> float:
+def residual_pair_cut(state) -> float:
     """Residual entanglement of the (S1,E1)|(S2,E2) cut beyond all pairwise terms.
 
-    Pure states use the exact tangle; mixed states the purity-gap bound (or
-    the quasi-pure estimate when ``estimator="qp"``).  A pair marginal of
-    rank above two voids the monogamy guarantee, so it only warns.
+    Pure states use the exact tangle; mixed states the purity-gap bound (a
+    sweep selects the quasi-pure estimate through ``compute_report``).  A pair
+    marginal of rank above two voids the monogamy guarantee, so it only warns.
     """
     marginals, _, c2 = _pair_table(state)
-    return _residual_pair(state, estimator, marginals, c2)
+    return _residual_pair(state, "lb", marginals, c2)
 
 
 def residual_single_qubit(state, i) -> float:
@@ -423,11 +423,11 @@ class ResidualDecomposition:
     discrepancy: float
 
 
-def decompose_pair_residual(psi: PureState, atol: float = 1e-6) -> ResidualDecomposition:
+def decompose_pair_residual(psi: PureState) -> ResidualDecomposition:
     """Split the pair-cut residual into four anchored and two effective tangles.
 
     The half-sum of the six terms must reproduce the residual itself; a
-    discrepancy beyond ``atol`` raises with both sides reported.
+    discrepancy beyond 1e-6 raises with both sides reported.
     """
     marginals, _, c2 = _pair_table(_one_state(psi, "decompose_pair_residual"))
     effective = _effective_tangles(psi)
@@ -436,10 +436,10 @@ def decompose_pair_residual(psi: PureState, atol: float = 1e-6) -> ResidualDecom
     half_sum = 0.5 * (sum(raw for raw, _ in anchored.values()) + sum(effective.values()))
     residual = _residual_pair(psi, "lb", marginals, c2)
     discrepancy = abs(half_sum - residual)
-    if discrepancy > atol:
+    if discrepancy > 1e-6:
         raise DecompositionError(
             f"residual decomposition mismatch: half-sum {half_sum!r} vs residual {residual!r} "
-            f"(|diff| = {discrepancy:.3e} > {atol})"
+            f"(|diff| = {discrepancy:.3e} > 1e-6)"
         )
     reduced = {column: tau for column, (_, tau) in anchored.items()}
     return ResidualDecomposition(reduced, effective, half_sum, residual, discrepancy)

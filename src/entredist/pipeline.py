@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property
 from operator import itemgetter
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import InitialSpec, evolve, initial_state, random_family_state
+from .channels import InitialSpec, ad_unitary, evolve, initial_state, random_family_state
 from .measures import (
     PAIR_CUT,
     TangleReport,
@@ -36,6 +37,7 @@ from .measures import (
 )
 from .qcore import (
     DensityMatrix,
+    PureState,
     _json_float,
     _json_int,
     as_matrix,
@@ -43,6 +45,7 @@ from .qcore import (
     haar_state,
     numerical_rank,
     partial_trace,
+    state_to_json,
 )
 from .tomography import mle_reconstruct, simulate_counts
 
@@ -120,6 +123,9 @@ class SweepConfig:
         if not isinstance(enabled, bool):
             raise ValueError(f"tomography.enabled must be true or false, got {enabled!r}")
         tomo_seed = _json_int(tomo.get("seed", 0), "tomography.seed")
+        out_dir = payload.get("out_dir")
+        if out_dir is not None and not isinstance(out_dir, str):
+            raise ValueError(f"out_dir must be a JSON string, got {out_dir!r}")
         return cls(
             initial=InitialSpec.from_json(payload, base_dir),
             p_values=tuple(ps),
@@ -127,7 +133,7 @@ class SweepConfig:
             tomography=enabled,
             shots=_json_int(tomo.get("shots", 100_000), "tomography.shots"),
             seed=_json_int(payload["seed"], "seed") if "seed" in payload else tomo_seed,
-            out_dir=payload.get("out_dir"),
+            out_dir=out_dir,
         )
 
     def canonical_json(self) -> str:
@@ -142,7 +148,7 @@ class SweepConfig:
             "seed": self.seed,
         }
         if self.initial.mixed_system is not None:
-            payload["mixed_system"] = self.initial.mixed_system.to_json()
+            payload["mixed_system"] = state_to_json(self.initial.mixed_system)
         return json.dumps(payload, sort_keys=True)
 
 
@@ -240,11 +246,11 @@ def _stacked_rows(config: SweepConfig, base, grid, first: int) -> list[SweepRow]
     return [SweepRow(p=p, report=report, **row) for p, report, row in zip(ps.tolist(), reports, cells)]
 
 
-def find_threshold(series, kind: str, zero_tol: float = ZERO_TOL) -> float | None:
+def find_threshold(series, kind: str) -> float | None:
     """Interpolated damping strength where a tangle dies (ESD) or is born (ESB).
 
     ``series`` is a sorted list of (p, value) pairs.  The death threshold is
-    the last downward crossing of ``zero_tol``; the birth threshold the first
+    the last downward crossing of ``ZERO_TOL``; the birth threshold the first
     upward one.  Returns None when the series never crosses.
     """
     kind = kind.lower()
@@ -258,11 +264,11 @@ def find_threshold(series, kind: str, zero_tol: float = ZERO_TOL) -> float | Non
     crossings = []
     for k in range(len(ps) - 1):
         lo, hi = vs[k], vs[k + 1]
-        if kind == "esd" and lo > zero_tol >= hi:
-            frac = (lo - zero_tol) / (lo - hi)
+        if kind == "esd" and lo > ZERO_TOL >= hi:
+            frac = (lo - ZERO_TOL) / (lo - hi)
             crossings.append(ps[k] + frac * (ps[k + 1] - ps[k]))
-        if kind == "esb" and lo <= zero_tol < hi:
-            frac = (zero_tol - lo) / (hi - lo)
+        if kind == "esb" and lo <= ZERO_TOL < hi:
+            frac = (ZERO_TOL - lo) / (hi - lo)
             crossings.append(ps[k] + frac * (ps[k + 1] - ps[k]))
     if not crossings:
         return None
@@ -374,45 +380,33 @@ def invariant_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     alpha, beta = math.sqrt(1 / 7), math.sqrt(6 / 7)
     base = initial_state(InitialSpec(alpha=alpha, beta=beta))
     grid = np.linspace(0.0, 1.0, 41)
-    family = [evolve(base, p, p) for p in grid]
+    family = evolve(base, grid, grid)  # one stack of the 41 family states
     checks = []
 
     def add(name, err, tol):
         checks.append((name, bool(err <= tol), f"max deviation {err:.3e} (tol {tol:.0e})"))
 
-    from .channels import ad_unitary
-
-    err = max(
-        float(np.abs(ad_unitary(p).conj().T @ ad_unitary(p) - np.eye(4)).max())
-        for p in rng.uniform(0, 1, 100)
-    )
+    u = ad_unitary(rng.uniform(0, 1, 100))
+    err = float(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(4)).max())
     add("damping dilation is unitary", err, 1e-12)
 
-    import warnings
-
+    p1, p2 = rng.uniform(0, 1, (20, 2)).T
+    zero = np.zeros(20)
     with warnings.catch_warnings():
         # the second dilation legitimately sees a populated environment here
         warnings.simplefilter("ignore", UserWarning)
-        err = max(
-            float(np.abs(evolve(evolve(base, p1, 0.0), 0.0, p2).amplitudes
-                         - evolve(evolve(base, 0.0, p2), p1, 0.0).amplitudes).max())
-            for p1, p2 in rng.uniform(0, 1, (20, 2))
-        )
+        err = float(np.abs(evolve(evolve(base, p1, zero), zero, p2).amplitudes
+                           - evolve(evolve(base, zero, p2), p1, zero).amplitudes).max())
     add("disjoint dilations commute", err, 1e-12)
 
-    target = 4.0 * (alpha * beta) ** 2
-    err = max(abs(tangle_pure(st, PAIR_CUT) - target) for st in family)
+    err = float(np.abs(tangle_pure(family, PAIR_CUT) - 4.0 * (alpha * beta) ** 2).max())
     add("pair-cut tangle is conserved", err, 1e-9)
 
-    worst_rank = max(
-        numerical_rank(partial_trace(st, ("S1", "E1")), 1e-7) for st in family
-    )
+    worst_rank = int(numerical_rank(partial_trace(family, ("S1", "E1")), 1e-7).max())
     checks.append(("pair marginals stay rank-two", worst_rank <= 2, f"max rank {worst_rank}"))
 
-    err = max(
-        max(effective_three_tangle(st, ("S2", "E2")), effective_three_tangle(st, ("S1", "E1")))
-        for st in family
-    )
+    err = float(np.maximum(effective_three_tangle(family, ("S2", "E2")),
+                           effective_three_tangle(family, ("S1", "E1"))).max())
     add("effective-qubit tangles vanish on the family", err, 1e-6)
 
     err = max(decompose_pair_residual(random_family_state(rng)).discrepancy for _ in range(25))
@@ -425,19 +419,14 @@ def invariant_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     checks.append(("monogamy slack non-negative on random pure states",
                    worst >= -1e-6, f"min slack {worst:.3e}"))
 
-    err = 0.0
-    for st, p in zip(family, grid):
-        c_s = concurrence(partial_trace(st, ("S1", "S2")).entries)
-        c_e = concurrence(partial_trace(st, ("E1", "E2")).entries)
-        err = max(err, abs(c_s - 2 * beta * (1 - p) * max(0.0, alpha - beta * p)))
-        err = max(err, abs(c_e - 2 * beta * p * max(0.0, alpha - beta * (1 - p))))
+    c_s = concurrence(partial_trace(family, ("S1", "S2")).entries)
+    c_e = concurrence(partial_trace(family, ("E1", "E2")).entries)
+    err = float(max(np.abs(c_s - 2 * beta * (1 - grid) * np.maximum(0.0, alpha - beta * grid)).max(),
+                    np.abs(c_e - 2 * beta * grid * np.maximum(0.0, alpha - beta * (1 - grid))).max()))
     add("closed-form pairwise concurrences", err, 1e-8)
 
-    pure_states = [haar_state(4, rng) for _ in range(10)]
-    err = max(
-        abs(tangle_quasipure(psi.density(), (0,)) - tangle_pure(psi, (0,)))
-        for psi in pure_states
-    )
+    haar = PureState(np.array([haar_state(4, rng).amplitudes for _ in range(10)]))
+    err = float(np.abs(tangle_quasipure(haar.density(), (0,)) - tangle_pure(haar, (0,))).max())
     add("quasi-pure estimator exact on pure states", err, 1e-8)
 
     fid = fidelity_pure(evolve(base, 0.5, 0.5).density(), dicke_state())

@@ -129,16 +129,6 @@ class PureState:
         """Amplitude of the basis ket given as a bit string, e.g. "1100"."""
         return complex(self.amplitudes[basis_index(bits)])
 
-    def to_json(self) -> dict:
-        return state_to_json(self)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "PureState":
-        state = state_from_json(payload)
-        if not isinstance(state, cls):
-            raise ValueError("payload describes a density matrix, not a pure state")
-        return state
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -182,16 +172,6 @@ class DensityMatrix:
         w, v = eig_hermitian(self.entries)
         w.flags.writeable = v.flags.writeable = False
         return w, v
-
-    def to_json(self) -> dict:
-        return state_to_json(self)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "DensityMatrix":
-        state = state_from_json(payload)
-        if not isinstance(state, cls):
-            raise ValueError("payload describes a pure state, not a density matrix")
-        return state
 
 
 def basis_index(bits: str) -> int:
@@ -343,7 +323,9 @@ def numerical_rank(rho, eps: float):
 def state_to_json(state) -> dict:
     """JSON payload {"n_qubits": n, "re": [...], "im": [...]}; matrices row-major.
 
-    Floats serialize through ``repr`` and therefore round-trip bit-exactly.
+    The one serializer of both state kinds: :func:`state_from_json` reads the
+    payload back and :func:`save_state` writes it to a file.  Floats serialize
+    through ``repr`` and therefore round-trip bit-exactly.
     """
     if isinstance(state, PureState):
         data = state.amplitudes
@@ -398,4 +380,5 @@ def state_from_json(payload: dict):
 
 
 def save_state(state, path) -> None:
+    """Write :func:`state_to_json` of ``state`` to ``path``."""
     Path(path).write_text(json.dumps(state_to_json(state)))

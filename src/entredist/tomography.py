@@ -147,14 +147,9 @@ def _born_adjoint(weights: np.ndarray) -> np.ndarray:
     return _by_half(_HALF_CONJ.T @ grid @ _HALF_CONJ)
 
 
-def _probabilities(rho_mat: np.ndarray) -> np.ndarray:
-    """Born probabilities of every setting for the state ``rho_mat``, clipped to [0, 1]."""
-    return np.clip(_born(rho_mat), 0.0, 1.0)
-
-
 def simulate_counts(rho, shots: int, seed: int) -> Counts:
     """Binomial counts for every setting; reproducible for a fixed seed."""
-    probs = _probabilities(as_matrix(rho))
+    probs = np.clip(_born(as_matrix(rho)), 0.0, 1.0)
     return Counts(np.random.default_rng(seed).binomial(shots, probs), shots)
 
 
@@ -207,8 +202,9 @@ def project_physical(m: np.ndarray) -> DensityMatrix:
 class MleResult:
     """Maximum-likelihood reconstruction plus its optimality certificate.
 
-    No state has a log-likelihood above ``log_likelihood + gap_bound`` (nats);
-    ``converged`` is ``gap_bound <= tol``.
+    ``log_likelihood`` is log L of the fitted state (nats), and
+    ``log_likelihood + gap_bound`` is the bound the fit certified: no state
+    has a log-likelihood above it.  ``converged`` is ``gap_bound <= tol``.
     """
 
     rho: DensityMatrix
@@ -223,11 +219,6 @@ class MleResult:
 # 1.25 costs one rejected trial (one extra projection) about every third
 # iteration, where doubling would cost one nearly every iteration.
 _STEP_GROWTH = 1.25
-
-
-def _log_likelihood(probs: np.ndarray, counts: np.ndarray, shots: float) -> float:
-    p = np.clip(probs, 1e-12, 1.0 - 1e-12)
-    return float(np.sum(counts * np.log(p) + (shots - counts) * np.log1p(-p)))
 
 
 def mle_reconstruct(
@@ -331,9 +322,9 @@ def mle_reconstruct(
     if gap > tol:
         warnings.warn(f"maximum-likelihood fit did not converge in {iterations} iterations "
                       f"(gap bound {gap:.3g} nats > tol {tol:g})")
-    rho = DensityMatrix(hermitize(x))
-    ll = _log_likelihood(_probabilities(rho.entries), counts, shots)
-    return MleResult(rho, iterations, ll, gap <= tol, gap)
+    # the likelihood at the frequencies turns the fit's offset log L back into log L
+    ll += n_hit @ np.log(f_hit) + n_miss @ np.log(f_miss)
+    return MleResult(DensityMatrix(hermitize(x)), iterations, float(ll), gap <= tol, gap)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,48 @@ import numpy as np
 from entredist.qcore import eig_hermitian
 
 
+def damped_family_row(alpha, beta, p1, p2) -> dict:
+    """Every numeric ``TangleReport`` column but ``p`` of alpha|0000> + beta|1100> damped
+    at p1 on (S1,E1) and p2 on (S2,E2), from the closed forms for real alpha, beta.
+
+    With c_i = sqrt(1 - p_i) and s_i = sqrt(p_i): the signed concurrences
+    2 beta c1 c2 (alpha - beta s1 s2) and 2 beta s1 s2 (alpha - beta c1 c2), the
+    cross pairs 2 beta c_i s_j max(0, alpha - beta s_i c_j), the local pairs
+    C_SiEi = 2 beta^2 c_i s_i, the one-qubit tangles 4 x (1 - x) at x = beta^2 c_i^2
+    (S_i) or beta^2 s_i^2 (E_i), the conserved pair cut 4 alpha^2 beta^2, vanishing
+    effective tangles and the Dicke fidelity (alpha + beta (c1 + s1)(c2 + s2))^2 / 6.
+    The residuals, and the anchored tangles equal to them, follow by subtraction.
+    """
+    c1, c2, s1, s2 = np.sqrt(1.0 - p1), np.sqrt(1.0 - p2), np.sqrt(p1), np.sqrt(p2)
+    gamma_ss = 2 * beta * c1 * c2 * (alpha - beta * s1 * s2)
+    gamma_ee = 2 * beta * s1 * s2 * (alpha - beta * c1 * c2)
+    c2_pairs = {  # squared concurrence of every slot pair, S1 S2 E1 E2 = 0 1 2 3
+        (0, 1): max(0.0, gamma_ss) ** 2,
+        (2, 3): max(0.0, gamma_ee) ** 2,
+        (0, 3): (2 * beta * c1 * s2 * max(0.0, alpha - beta * s1 * c2)) ** 2,
+        (1, 2): (2 * beta * c2 * s1 * max(0.0, alpha - beta * s2 * c1)) ** 2,
+        (0, 2): (2 * beta ** 2 * c1 * s1) ** 2,
+        (1, 3): (2 * beta ** 2 * c2 * s2) ** 2,
+    }
+    one_qubit = [(beta * c1) ** 2, (beta * c2) ** 2, (beta * s1) ** 2, (beta * s2) ** 2]
+    residual = [4 * x * (1 - x) - sum(v for ab, v in c2_pairs.items() if q in ab)
+                for q, x in enumerate(one_qubit)]
+    pair_cut = 4 * (alpha * beta) ** 2
+    return {
+        "c2_s1s2": c2_pairs[0, 1], "c2_e1e2": c2_pairs[2, 3],
+        "c2_s1e2": c2_pairs[0, 3], "c2_s2e1": c2_pairs[1, 2],
+        "gamma_s1s2": gamma_ss, "gamma_e1e2": gamma_ee,
+        "c2_pair_lb": pair_cut,
+        "residual_pair": pair_cut - sum(v for ab, v in c2_pairs.items() if ab not in ((0, 2), (1, 3))),
+        "residual_s1": residual[0], "residual_s2": residual[1],
+        "residual_e1": residual[2], "residual_e2": residual[3],
+        "tau_u_s1_s2e2": residual[0], "tau_u_s2_s1e1": residual[1],
+        "tau_u_e1_s2e2": residual[2], "tau_u_e2_s1e1": residual[3],
+        "tau_eff_s1e1": 0.0, "tau_eff_s2e2": 0.0,
+        "dicke_fidelity": (alpha + beta * (c1 + s1) * (c2 + s2)) ** 2 / 6.0,
+    }
+
+
 def xstate_concurrence(rho: np.ndarray) -> float:
     """Closed-form concurrence of an X-shaped two-qubit density matrix."""
     r = np.asarray(rho)

@@ -24,6 +24,7 @@ from entredist.qcore import (
     numerical_rank,
     partial_trace,
     purity,
+    state_to_json,
 )
 
 
@@ -170,13 +171,32 @@ def test_initial_spec_from_json(tmp_path):
     assert spec.alpha == pytest.approx(ALPHA)
     system = mixed_system_with_purity(ALPHA, BETA, 0.82)
     path = tmp_path / "system.json"
-    path.write_text(json.dumps(system.to_json()))
+    path.write_text(json.dumps(state_to_json(system)))
     spec = InitialSpec.from_json({"mixed_system_file": "system.json"}, base_dir=tmp_path)
     assert np.abs(spec.mixed_system.entries - system.entries).max() == 0.0
 
 
 def test_initial_spec_from_json_rejects_pure_fixture(tmp_path):
     bell = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2))
-    (tmp_path / "system.json").write_text(json.dumps(bell.to_json()))
+    (tmp_path / "system.json").write_text(json.dumps(state_to_json(bell)))
     with pytest.raises(ValueError, match="pure state"):
         InitialSpec.from_json({"mixed_system_file": "system.json"}, base_dir=tmp_path)
+
+
+def test_initial_spec_rejects_a_pure_mixed_system():
+    # the constructor holds the same check as the file route
+    bell = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2))
+    with pytest.raises(ValueError, match="pure state"):
+        InitialSpec(mixed_system=bell)
+    with pytest.raises(ValueError, match="2-qubit density matrix"):
+        InitialSpec(mixed_system=np.eye(4) / 4)
+
+
+def test_ad_unitary_takes_an_array_of_strengths():
+    ps = np.array([[0.0, 0.3], [0.7, 1.0]])
+    stack = ad_unitary(ps)
+    assert stack.shape == (2, 2, 4, 4)
+    for p, u in zip(ps.ravel(), stack.reshape(-1, 4, 4)):
+        assert np.array_equal(u, ad_unitary(p))
+    with pytest.raises(ValueError, match="outside"):
+        ad_unitary(np.array([0.5, np.nan]))

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import ALPHA, BETA
 from entredist.cli import main
-from entredist.qcore import basis_state
+from entredist.qcore import basis_state, state_to_json
 
 
 @pytest.fixture()
@@ -84,7 +84,7 @@ def test_tomo_roundtrip_mixed_reports_uhlmann_fidelity(tmp_path):
     from entredist.channels import mixed_system_with_purity
 
     (tmp_path / "system.json").write_text(
-        json.dumps(mixed_system_with_purity(ALPHA, BETA, 0.82).to_json()))
+        json.dumps(state_to_json(mixed_system_with_purity(ALPHA, BETA, 0.82))))
     cfg = tmp_path / "mixed.json"
     cfg.write_text(json.dumps({"mixed_system_file": "system.json", "seed": 3}))
     out = tmp_path / "tomo"
@@ -129,7 +129,7 @@ def test_bad_arguments_exit_one(tmp_path, capsys):
     # only sweep and thresholds take --estimator
     assert main(["tomo-roundtrip", "--config", str(good), "--estimator", "lb"]) == 1
 
-    (tmp_path / "system.json").write_text(json.dumps(basis_state("00").density().to_json()))
+    (tmp_path / "system.json").write_text(json.dumps(state_to_json(basis_state("00").density())))
     for payload in (
         [pure],
         {**pure, "alpha_re": "abc"},
@@ -150,6 +150,7 @@ def test_bad_arguments_exit_one(tmp_path, capsys):
         {**pure, "p_grid": "01"},
         {**pure, "alpha_re": True},
         {**pure, "beta_im": "0"},
+        {**pure, "out_dir": 5},
     ):
         bad.write_text(json.dumps(payload))
         for command in ("sweep", "thresholds", "tomo-roundtrip"):
@@ -215,7 +216,7 @@ def test_estimator_flag_threads_through(tmp_path, config_path):
     mixed_system = tmp_path / "system.json"
     from entredist.channels import mixed_system_with_purity
 
-    mixed_system.write_text(json.dumps(mixed_system_with_purity(ALPHA, BETA, 0.82).to_json()))
+    mixed_system.write_text(json.dumps(state_to_json(mixed_system_with_purity(ALPHA, BETA, 0.82))))
     cfg = tmp_path / "mixed.json"
     cfg.write_text(json.dumps({
         "mixed_system_file": "system.json",

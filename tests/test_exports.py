@@ -1,10 +1,11 @@
 """Every name a module lists in ``__all__`` resolves, so no deleted name lingers, and the
-package re-exports only names its modules list, so the two lists cannot drift.  numpy is
-the only runtime dependency."""
+package re-exports only names its modules list, so the two lists cannot drift.  The
+README's Python examples run as written.  numpy is the only runtime dependency."""
 
 import ast
 import importlib
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -48,3 +49,14 @@ def test_modules_import_only_numpy_and_the_standard_library():
                       if name.split(".")[0] != "numpy"
                       and name.split(".")[0] not in sys.stdlib_module_names]
     assert not stray, f"top-level imports beyond numpy and the standard library: {stray}"
+
+
+def test_readme_python_blocks_run():
+    # the blocks build on each other, so they share one namespace; a name the
+    # package no longer has fails here instead of lingering in the docs
+    readme = Path(__file__).parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), flags=re.M | re.S)
+    assert blocks, "README.md has no python blocks"
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), namespace)

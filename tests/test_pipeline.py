@@ -1,12 +1,14 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
 from conftest import ALPHA, BETA, INITIAL_TANGLE, P_ESB, P_ESD
-from entredist.channels import InitialSpec, mixed_system_with_purity
+from entredist.channels import InitialSpec, evolve, initial_state, mixed_system_with_purity
+from entredist.measures import compute_report
 from entredist.qcore import DensityMatrix, PureState
 from entredist.pipeline import (
     CSV_COLUMNS,
@@ -168,6 +170,28 @@ def test_golden_sweep_file(tmp_path, pure_rows):
     path = tmp_path / "sweep.csv"
     emit_csv(pure_rows, path)
     assert path.read_bytes() == golden.read_bytes()
+
+
+def test_golden_sweep_matches_the_closed_forms():
+    # every measure cell of the pinned file, derived instead of pinned
+    golden = Path(__file__).parent / "data" / "golden_sweep.csv"
+    with open(golden, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(row["p"]) for row in rows] == pytest.approx(np.linspace(0.0, 1.0, 101), abs=1e-12)
+    for row in rows:
+        p = float(row["p"])
+        for column, want in oracles.damped_family_row(ALPHA, BETA, p, p).items():
+            assert float(row[column]) == pytest.approx(want, abs=1e-12), (p, column)
+        assert row["genuine4"] == ("true" if float(row["dicke_fidelity"]) > 2.0 / 3.0 else "false")
+
+
+def test_closed_forms_hold_off_the_diagonal(rng):
+    base = initial_state(InitialSpec(alpha=ALPHA, beta=BETA))
+    p1, p2 = rng.uniform(0.05, 0.95, (2, 25))
+    reports = compute_report(evolve(base, p1, p2), p1)
+    for a, b, report in zip(p1, p2, reports):
+        for column, want in oracles.damped_family_row(ALPHA, BETA, a, b).items():
+            assert getattr(report, column) == pytest.approx(want, abs=1e-12), (a, b, column)
 
 
 def _fail_evolve_at_half(monkeypatch):

@@ -32,7 +32,6 @@ from entredist.tomography import (
     _born,
     _born_adjoint,
     _by_half,
-    _probabilities,
     _project_eigenvalues,
     linear_inversion,
     load_counts,
@@ -98,11 +97,11 @@ def test_factored_born_map_matches_the_dense_frame(rng):
 
 
 def test_born_probability_cases():
-    probs = _probabilities(basis_state("0000").density().entries)
+    probs = _born(basis_state("0000").density().entries)
     assert probs[0] == pytest.approx(1.0, abs=1e-12)
     # the all-|1> projector is orthogonal to |0000>
     assert probs[SETTINGS.index(("Z'",) * 4)] == pytest.approx(0.0, abs=1e-12)
-    probs = _probabilities(np.eye(16) / 16)
+    probs = _born(np.eye(16) / 16)
     for sid in range(0, 256, 37):
         assert probs[sid] == pytest.approx(1 / 16, abs=1e-12)
 
