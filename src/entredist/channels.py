@@ -21,6 +21,7 @@ from .qcore import (
     NORM_ATOL,
     DensityMatrix,
     PureState,
+    _conjugated,
     _json_float,
     kron,
     state_from_json,
@@ -162,9 +163,11 @@ def evolve(state, p1, p2):
     """Apply the local dilations at strengths (p1, p2) to a four-qubit state.
 
     Pure states are mapped through the unitary, density matrices are
-    conjugated by it.  Arrays of strengths, or a stack of states, give the
-    stack of evolved states in one call.  The map expects both environments
-    in |0>; each state with a populated environment only raises a warning.
+    conjugated by it and keep the input's eigenvalues, with the eigenvectors
+    mapped through it, as their ``spectrum``: they are not decomposed again.
+    Arrays of strengths, or a stack of states, give the stack of evolved
+    states in one call.  The map expects both environments in |0>; each
+    state with a populated environment only raises a warning.
     """
     if not isinstance(state, (PureState, DensityMatrix)):
         raise TypeError(f"expected a 4-qubit state object, got {type(state).__name__}")
@@ -173,7 +176,7 @@ def evolve(state, p1, p2):
     u = full_unitary(p1, p2)
     if isinstance(state, PureState):
         return PureState((u @ state.amplitudes[..., None])[..., 0])
-    return DensityMatrix(u @ state.entries @ u.conj().swapaxes(-1, -2))
+    return _conjugated(state, u)
 
 
 def random_family_state(rng: np.random.Generator) -> PureState:

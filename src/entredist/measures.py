@@ -73,13 +73,10 @@ PAIR_CUT = ("S1", "E1")
 # negative is surfaced as a warning instead of silently clamped.
 CLAMP_ATOL = 1e-6
 
-_SY_SY = np.array(
-    [[0, 0, 0, -1],
-     [0, 0, 1, 0],
-     [0, 1, 0, 0],
-     [-1, 0, 0, 0]],
-    dtype=complex,
-)
+# (sy x sy) M (sy x sy) reverses both axes of M and multiplies entry (i, j) by
+# s_i s_j with s = (-1, 1, 1, -1): each entry of the product has one non-zero
+# term, so this gives the matrix product's bits without a matmul.
+_FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 
 
 class EstimatorWarning(UserWarning):
@@ -122,7 +119,8 @@ def _positive(values):
 def _wootters_roots(mat: np.ndarray) -> np.ndarray:
     """Descending sqrt-eigenvalues of rho * rho_tilde via the Hermitian surrogate."""
     root = psd_sqrt(mat)
-    m = hermitize(root @ (_SY_SY @ mat.conj() @ _SY_SY) @ root)  # root (spin-flipped rho) root
+    flipped = mat.conj()[..., ::-1, ::-1] * _FLIP_SIGNS  # (sy x sy) rho* (sy x sy)
+    m = hermitize(root @ flipped @ root)
     w = np.linalg.eigvalsh(m)[..., ::-1]
     if (w[..., -1] < -1e-9).any():
         raise ValueError(f"spin-flipped product has eigenvalue {w[..., -1].min()} below -1e-9")

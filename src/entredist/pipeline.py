@@ -152,6 +152,13 @@ class SweepConfig:
         return json.dumps(payload, sort_keys=True)
 
 
+# A report's cells: its 20 numbers (p to dicke_fidelity) at 12 significant digits,
+# then genuine4; a failed row keeps p and leaves the 20 measure cells empty.
+_NUMBER_CELLS = ",".join(["%.12g"] * (len(fields(TangleReport)) - 1))
+_FAILED_CELLS = "%.12g" + "," * (len(fields(TangleReport)) - 1)
+_BOOL_CELL = {False: "false", True: "true"}
+
+
 @dataclass(frozen=True)
 class SweepRow:
     """One grid point: flattened report plus provenance, or a flagged failure."""
@@ -180,9 +187,18 @@ class SweepRow:
 
     @cached_property
     def cells(self) -> tuple[str, ...]:
-        """The row's ``CSV_COLUMNS`` cells, formatted once; every CSV artifact is cut
-        from these strings."""
-        return tuple(map(_format, self.to_record().values()))
+        """The row's ``CSV_COLUMNS`` cells, built once; every CSV artifact is cut from
+        these strings.  The numbers take one format per row, and a failed row gets its
+        empty measure cells from the same format."""
+        if self.report is None:
+            measures = (_FAILED_CELLS % self.p).split(",")
+        else:
+            _, *numbers, genuine4 = vars(self.report).values()
+            measures = (_NUMBER_CELLS % (self.p, *numbers)).split(",")
+            measures.append(_BOOL_CELL[genuine4])
+        return (*measures, self.estimator_pair, self.estimator_unbalanced,
+                _BOOL_CELL[self.tomography], "" if self.seed is None else str(self.seed),
+                self.error or "")
 
 
 # Grid points per stacked pass.  A pass holds a few (rows, 16, 16) complex
@@ -284,24 +300,17 @@ def thresholds(rows) -> dict:
     }
 
 
-def _format(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
-WITNESS_CELL = _format(2.0 / 3.0)  # fig4's witness_threshold, the same on every row
+WITNESS_CELL = "%.12g" % (2.0 / 3.0)  # fig4's witness_threshold, the same on every row
 _FIGURE_CELLS = {  # picks a figure's cells from a row's cells followed by WITNESS_CELL
     figure: itemgetter(*((*CSV_COLUMNS, "witness_threshold").index(name) for name in columns))
     for figure, columns in FIGURE_COLUMNS.items()
 }
 
 # sweep.json is json.dumps(records, indent=1), which runs the pure-Python encoder.
-# Each record is flat, so encoding it with the item separator of indent level 2
-# and wrapping it in the level-1 braces gives the same bytes from the C encoder.
-_RECORD_ENCODER = json.JSONEncoder(separators=(",\n  ", ": "))
+# The records are flat, so one C-encoder call over the list with the item separator
+# of indent level 2 gives the same bytes once the record boundaries are re-indented:
+# "},\n  {" occurs only there, as an encoded string holds no raw newline.
+_RECORDS_ENCODER = json.JSONEncoder(separators=(",\n  ", ": "))
 
 
 def _write_columns(path, columns, cells, what: str) -> None:
@@ -339,8 +348,8 @@ def _indented_json(records) -> str:
     """``json.dumps(records, indent=1)`` for a list of flat records, on the C encoder."""
     if not records:
         return "[]"
-    encode = _RECORD_ENCODER.encode
-    return "[\n {\n  " + "\n },\n {\n  ".join(encode(rec)[1:-1] for rec in records) + "\n }\n]"
+    body = _RECORDS_ENCODER.encode(records)[2:-2].replace("},\n  {", "\n },\n {\n  ")
+    return "[\n {\n  " + body + "\n }\n]"
 
 
 def write_manifest(config: SweepConfig, out_dir) -> None:

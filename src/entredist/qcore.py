@@ -162,16 +162,31 @@ class DensityMatrix:
         if lo < -EIGENVALUE_ATOL:
             raise ValueError(f"negative eigenvalue {lo} below -{EIGENVALUE_ATOL}")
 
-    def eigenvalues(self) -> np.ndarray:
-        """Descending eigenvalues, clamped to non-negative."""
-        return np.clip(self.spectrum[0], 0.0, None)
-
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`eig_hermitian` of the entries, computed on first use and kept read-only."""
+        """Descending eigenvalues and eigenvector columns, read-only.
+
+        :func:`eig_hermitian` of the entries, computed on first use; a state made
+        by conjugating another with a unitary U (``evolve``) carries that state's
+        eigenvalues and ``U @ V`` instead, so it is never decomposed again.
+        """
         w, v = eig_hermitian(self.entries)
         w.flags.writeable = v.flags.writeable = False
         return w, v
+
+
+def _conjugated(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
+    """``u rho u†`` for a unitary (stack) ``u``, with rho's eigenvalues and ``u @ V`` as
+    its spectrum; construction still checks the entries and the carried eigenvalues."""
+    w, v = rho.spectrum
+    v = u @ v
+    v.flags.writeable = False
+    out = object.__new__(DensityMatrix)
+    # where the cached property keeps its value, so __post_init__ reads it and decomposes nothing
+    out.__dict__["spectrum"] = (np.broadcast_to(w, v.shape[:-1]), v)
+    object.__setattr__(out, "entries", u @ rho.entries @ _dagger(u))
+    out.__post_init__()
+    return out
 
 
 def basis_index(bits: str) -> int:

@@ -5,8 +5,9 @@ X-state concurrence is the textbook closed form, the convex-roof value
 is estimated by brute-force minimization over randomly sampled ensemble
 decompositions, the tomography setting kets are built one ``np.kron`` at a
 time, the Born map goes through the dense frame of the 256 projectors built
-from them, the Born system is solved by least squares, and sweep records are
-encoded by ``json.dumps`` with its own indentation.
+from them, the Born system is solved by least squares, sweep records are
+encoded by ``json.dumps`` with its own indentation, and the Wootters spin flip
+is the matrix product with sigma_y x sigma_y.
 """
 
 import itertools
@@ -194,3 +195,25 @@ def lstsq_born_solution(freqs, projectors):
 def indented_json(records) -> str:
     """The reference ``sweep.json`` text: the standard library's indented encoder."""
     return json.dumps(records, indent=1)
+
+
+SY_SY = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex)
+
+
+def matmul_concurrence_signed(rho2):
+    """lambda_1 - lambda_2 - lambda_3 - lambda_4 of a (stack of) 4x4 matrices, with the
+    spin flip as the product (sy x sy) rho* (sy x sy).
+
+    The other steps are the library's, written out: the roots are the square roots of
+    the eigenvalues of sqrt(rho) rho~ sqrt(rho), Hermitized, and zero below 1e-9.
+    """
+    mat = np.asarray(rho2, dtype=complex)
+
+    def hermitian_part(m):
+        return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+    w, v = np.linalg.eigh(hermitian_part(mat))
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    lam = np.linalg.eigvalsh(hermitian_part(root @ (SY_SY @ mat.conj() @ SY_SY) @ root))[..., ::-1]
+    lam = np.sqrt(np.where(lam < 1e-9, 0.0, lam))
+    return lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]

@@ -17,7 +17,7 @@ from entredist.channels import (
     random_family_state,
     theta_to_p,
 )
-from entredist.measures import PAIR_CUT, tangle_pure
+from entredist.measures import PAIR_CUT, tangle_pure, tangle_quasipure
 from entredist.qcore import (
     DensityMatrix,
     PureState,
@@ -200,3 +200,38 @@ def test_ad_unitary_takes_an_array_of_strengths():
         assert np.array_equal(u, ad_unitary(p))
     with pytest.raises(ValueError, match="outside"):
         ad_unitary(np.array([0.5, np.nan]))
+
+
+def _random_full_rank_system(rng):
+    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    rho = z @ z.conj().T
+    return DensityMatrix(rho / np.trace(rho).real)
+
+
+@pytest.mark.parametrize("system", ["purity-0.82", "random-full-rank"])
+def test_evolved_mixed_states_carry_an_exact_spectrum(monkeypatch, rng, system):
+    rho_s = (mixed_system_with_purity(ALPHA, BETA, 0.82) if system == "purity-0.82"
+             else _random_full_rank_system(rng))
+    base = initial_state(InitialSpec(mixed_system=rho_s))
+    w0 = base.spectrum[0]
+    grid = np.linspace(0.0, 1.0, 51)
+
+    decompositions, validations = [], []
+    real_eigh, real_post_init = np.linalg.eigh, DensityMatrix.__post_init__
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: decompositions.append(a) or real_eigh(a, *args))
+    monkeypatch.setattr(DensityMatrix, "__post_init__",
+                        lambda self: validations.append(1) or real_post_init(self))
+    stacked = evolve(base, grid, grid)
+    singles = [evolve(base, p, p) for p in grid]
+    monkeypatch.undo()
+    assert decompositions == [] and len(validations) == 1 + len(grid)
+
+    for evolved in (stacked, *singles):
+        w, v = evolved.spectrum
+        assert np.array_equal(w, np.broadcast_to(w0, w.shape))
+        assert np.abs(v.conj().swapaxes(-1, -2) @ v - np.eye(16)).max() <= 1e-12
+        assert np.abs(evolved.entries @ v - v * w[..., None, :]).max() <= 1e-12
+        fresh = DensityMatrix(evolved.entries)
+        for cut in ((0,), (1,), (2,), (3,), PAIR_CUT):
+            assert np.abs(np.asarray(tangle_quasipure(evolved, cut))
+                          - tangle_quasipure(fresh, cut)).max() <= 1e-12, cut

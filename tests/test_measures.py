@@ -10,6 +10,7 @@ from conftest import ALPHA, BETA, INITIAL_TANGLE, P_ESB, P_ESD, family_state
 from oracles import (
     antisym_overlap_direct,
     convex_roof_tangle,
+    matmul_concurrence_signed,
     werner_concurrence,
     xstate_concurrence,
 )
@@ -84,6 +85,32 @@ def local_rotation(psi, rng):
 
 def test_concurrence_signed_bell():
     assert concurrence_signed(np.outer(BELL, BELL.conj())) == pytest.approx(1.0, abs=1e-10)
+
+
+def _density_matrices_with_zeros(rng, count):
+    """Random complex 4x4 density matrices, most with exact zero entries: a block-diagonal
+    factor over a random split of the basis, or a zeroed basis vector (rank deficient)."""
+    mats = []
+    for k in range(count):
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        if k % 3 == 1:
+            side = rng.random(4) < 0.5
+            a[side[:, None] != side[None, :]] = 0.0
+        elif k % 3 == 2:
+            a[rng.integers(4)] = 0.0
+        rho = a @ a.conj().T
+        mats.append(rho / np.trace(rho).real)
+    return np.array(mats)
+
+
+def test_spin_flip_matches_the_matrix_product_bit_for_bit(rng):
+    mats = _density_matrices_with_zeros(rng, 200)
+    assert (mats == 0.0).any()
+    family = family_state(np.linspace(0.0, 1.0, 101)).amplitudes
+    for stack in (mats, *(vector_marginal(family, 4, ab) for ab in itertools.combinations(range(4), 2))):
+        got = concurrence_signed(stack)
+        assert got.tobytes() == matmul_concurrence_signed(stack).tobytes()
+        assert got.tobytes() == np.array([concurrence_signed(m) for m in stack]).tobytes()
 
 
 def test_concurrence_signed_product_and_maximally_mixed():

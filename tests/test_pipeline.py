@@ -1,5 +1,6 @@
 import csv
 import json
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from entredist.pipeline import (
     CSV_COLUMNS,
     FIGURE_COLUMNS,
     SweepConfig,
+    SweepRow,
     emit_csv,
     emit_plotdata,
     find_threshold,
@@ -194,16 +196,41 @@ def test_closed_forms_hold_off_the_diagonal(rng):
             assert getattr(report, column) == pytest.approx(want, abs=1e-12), (a, b, column)
 
 
-def _fail_evolve_at_half(monkeypatch):
-    """Make ``pipeline.evolve`` raise on any stack that holds p = 0.5, before any
-    estimator runs."""
+# Columns the concurrence floor biases near p = 0 (the S1S2 pair) and p = 1 (E1E2), where
+# one Wootters root of the pair is small but not zero: measures._wootters_roots zeroes
+# eigenvalues of rho rho~ below 1e-9, which drops that root from C.
+FLOORED_NEAR_0 = ("c2_s1s2", "gamma_s1s2", "residual_pair", "residual_s1", "residual_s2",
+                  "tau_u_s1_s2e2", "tau_u_s2_s1e1")
+FLOORED_NEAR_1 = ("c2_e1e2", "gamma_e1e2", "residual_pair", "residual_e1", "residual_e2",
+                  "tau_u_e1_s2e2", "tau_u_e2_s1e1")
+
+
+def test_fine_sweep_matches_the_closed_forms_off_the_concurrence_floor():
+    rows = sweep(pure_config(steps=1001))
+    floored = set()
+    for row in rows:
+        for column, want in oracles.damped_family_row(ALPHA, BETA, row.p, row.p).items():
+            err = abs(getattr(row.report, column) - want)
+            if err > 1e-10:
+                assert err < 1e-4, (row.p, column, err)  # the floor's size, not a wrong value
+                floored.add((round(row.p, 3), column))
+    low, high = (0.001, 0.002, 0.003, 0.004, 0.005), (0.995, 0.996, 0.997, 0.998, 0.999)
+    expected = ({(p, c) for p in low for c in FLOORED_NEAR_0}
+                | {(p, c) for p in high for c in FLOORED_NEAR_1})
+    assert len(expected) == 70
+    assert floored == expected
+
+
+def _fail_evolve_at_half(monkeypatch, message="synthetic failure"):
+    """Make ``pipeline.evolve`` raise ``message`` on any stack that holds p = 0.5, before
+    any estimator runs."""
     import entredist.pipeline as pipeline
 
     real = pipeline.evolve
 
     def flaky(state, p1, p2):
         if 0.5 in np.atleast_1d(p1):
-            raise ValueError("synthetic failure")
+            raise ValueError(message)
         return real(state, p1, p2)
 
     monkeypatch.setattr(pipeline, "evolve", flaky)
@@ -218,7 +245,9 @@ def _artifact_rows(kind, monkeypatch):
     config = SweepConfig(initial=initial, p_values=tuple(np.linspace(0.0, 1.0, 11)),
                          estimator="qp", tomography=kind == "tomography", shots=2000, seed=5)
     if kind == "failed":
-        _fail_evolve_at_half(monkeypatch)
+        # an error text with a quote, a backslash, a newline and the record boundary
+        # of the indent=1 layout must still encode as the reference does
+        _fail_evolve_at_half(monkeypatch, 'synthetic "failure" \\ at\n},\n  {"p": 0.5')
     return sweep(config), config
 
 
@@ -241,14 +270,15 @@ def test_sweep_artifacts_match_the_reference_encodings(monkeypatch, tmp_path, ki
             assert list(csv.reader(fh)) == expected, figure
 
 
-def test_write_sweep_formats_each_cell_once(monkeypatch, tmp_path):
-    import entredist.pipeline as pipeline
-
+def test_write_sweep_builds_each_rows_cells_once(monkeypatch, tmp_path):
     rows = sweep(pure_config(steps=7))
-    real, calls = pipeline._format, []
-    monkeypatch.setattr(pipeline, "_format", lambda value: calls.append(value) or real(value))
+    real, built = SweepRow.cells.func, []
+    counting = cached_property(lambda row: built.append(row.p) or real(row))
+    counting.__set_name__(SweepRow, "cells")
+    monkeypatch.setattr(SweepRow, "cells", counting)
     write_sweep(rows, pure_config(steps=7), tmp_path)
-    assert len(calls) == len(rows) * len(CSV_COLUMNS)
+    assert built == [row.p for row in rows]
+    assert all(len(row.cells) == len(CSV_COLUMNS) for row in rows)
 
 
 def test_rows_to_json_mirror(pure_rows):

@@ -59,7 +59,7 @@ def test_partial_trace_product_state():
 
 def test_partial_trace_family_pair_marginal_is_rank_two():
     rho = partial_trace(family_state(0.5), ("S1", "E1"))
-    w = rho.eigenvalues()
+    w = rho.spectrum[0]
     assert w[2] < 1e-9
     assert numerical_rank(rho, 1e-7) == 2
 
