@@ -8,10 +8,9 @@ decomposition, and the Dicke-state witness of genuine four-partite
 entanglement.
 
 The kernels behind :func:`compute_report` take a leading batch axis: given
-a stack of states they return one value per state, computed by the same
-arithmetic as for a single state, so each number has one route.  Where a
-stacked numpy operation would round differently from the per-state one
-(Python's float power), the kernel keeps a per-item loop.
+a stack of states they return one value per state.  A single state takes
+the same stacked numpy operations as a stack, with no per-item loop, so each
+value of a stack equals the value of its state alone.
 The quasi-pure tangles of a :class:`DensityMatrix` share one cached
 eigendecomposition, and each cut costs a factored overlap contraction.
 """
@@ -28,6 +27,7 @@ from .qcore import (
     Subsystem,
     ALL_SUBSYSTEMS,
     as_matrix,
+    cut_register,
     eig_hermitian,
     fidelity_pure,
     hermitize,
@@ -91,20 +91,12 @@ class DecompositionError(RuntimeError):
     """The six-term residual decomposition failed its consistency check."""
 
 
-def _clamp_small_negative(value: float, atol: float, context: str) -> float:
-    if -atol <= value < 0.0:
-        return 0.0
-    if value < -atol:
+def _clamp_small_negative(values, atol: float, context: str):
+    """``values`` with those in [-atol, 0) set to 0.0; each one below -atol warns once."""
+    values = np.asarray(values)
+    for value in values[values < -atol].tolist():
         warnings.warn(f"{context} = {value:.3e} is negative beyond noise", EstimatorWarning)
-    return value
-
-
-def _per_item(fn, *values):
-    """``fn`` on each state's values as Python floats: once for a single state, per item
-    for a stack.  Python's float power and the per-state warnings live here."""
-    if np.ndim(values[0]) == 0:
-        return fn(*(float(v) for v in values))
-    return np.array([fn(*items) for items in zip(*(np.asarray(v).tolist() for v in values))])
+    return native(np.where((values < 0.0) & (values >= -atol), 0.0, values))
 
 
 def _positive(values):
@@ -210,9 +202,7 @@ def tangle_quasipure(rho, part):
     w, v = w.reshape(-1, dim), v.reshape(-1, dim, dim)
     keep = w > 1e-13  # a prefix of each row, as w descends
     # Eigenvectors as rows, amplitudes reordered so side A is the leading tensor factor.
-    perm = list(slots) + [q for q in range(n) if q not in slots]
-    vecs = v.swapaxes(1, 2).reshape((-1, dim) + (2,) * n)
-    vecs = vecs.transpose([0, 1] + [2 + q for q in perm]).reshape(-1, dim, dim)
+    vecs = cut_register(v.swapaxes(1, 2), n, slots).reshape(-1, dim, dim)
     subnormed = np.sqrt(np.where(keep, w, 0.0))[:, :, None] * vecs
 
     kept = keep.sum(axis=1)
@@ -232,10 +222,6 @@ def tangle_quasipure(rho, part):
 # Three-tangle and effective-qubit compression
 # ---------------------------------------------------------------------------
 
-def _three_tangle_item(one_to_rest: float, c_ij: float, c_ik: float) -> float:
-    return _clamp_small_negative(one_to_rest - c_ij ** 2 - c_ik ** 2, 1e-7, "three-tangle")
-
-
 def three_tangle(psi3: PureState):
     """Tripartite tangle 4 det rho_0 - C_01^2 - C_02^2 of a pure 3-qubit state.
 
@@ -248,7 +234,8 @@ def three_tangle(psi3: PureState):
     one_to_rest = 4.0 * np.linalg.det(vector_marginal(vec, 3, (0,))).real
     c_ij = concurrence(vector_marginal(vec, 3, (0, 1)))
     c_ik = concurrence(vector_marginal(vec, 3, (0, 2)))
-    return _per_item(_three_tangle_item, one_to_rest, c_ij, c_ik)
+    return _clamp_small_negative(one_to_rest - np.square(c_ij) - np.square(c_ik), 1e-7,
+                                 "three-tangle")
 
 
 def compress_pair_to_qubit(psi: PureState, pair) -> PureState:
@@ -279,15 +266,12 @@ def compress_pair_to_qubit(psi: PureState, pair) -> PureState:
     pivot = np.take_along_axis(cols, np.abs(cols).argmax(axis=-1)[..., None], axis=-1)
     iso = (cols * (pivot.conj() / np.abs(pivot))).swapaxes(-1, -2)  # 4 x 2 per state
 
-    lead = amps.shape[:-1]
     kept = [q for q in range(4) if q not in pair_slots]
-    axes = list(range(len(lead))) + [len(lead) + q for q in kept + list(pair_slots)]
-    t = amps.reshape(lead + (2,) * 4).transpose(axes).reshape(lead + (4, 4))
-    out = t @ iso.conj()  # (kept, effective)
+    out = cut_register(amps, 4, kept) @ iso.conj()  # (kept, effective)
     # np.linalg.norm of one item is sqrt(re.re + im.im) with BLAS dots; a stacked
     # (1, 8) @ (8, 1) matmul runs the same dot per item, so the norms are
     # bit-equal (norm(axis=...) sums in another order)
-    flat = out.reshape(lead + (8,))
+    flat = out.reshape(amps.shape[:-1] + (8,))
     re, im = flat.real[..., None, :], flat.imag[..., None, :]
     norm = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))
     return PureState(flat / norm[..., 0])
@@ -329,7 +313,7 @@ def _pair_table(state):
         mat = as_matrix(state)
         marginals = {ab: matrix_marginal(mat, 4, ab) for ab in _PAIRS}
     gamma = {ab: concurrence_signed(m) for ab, m in marginals.items()}
-    c2 = {ab: _per_item(lambda x: max(0.0, x) ** 2, g) for ab, g in gamma.items()}
+    c2 = {ab: native(np.square(_positive(g))) for ab, g in gamma.items()}
     return marginals, gamma, c2
 
 
@@ -390,20 +374,19 @@ def residual_single_qubit(state, i) -> float:
     return _residual_single(state, subsystem(i), _pair_table(state)[2])
 
 
-def _anchored_tangle(residual, tau_eff, i: Subsystem) -> tuple:
-    """Residual of i less its grouping's effective three-tangle, raw and noise-clamped."""
-    raw = residual - tau_eff
-    context = f"reduced three-tangle at {i.name}"
-    return raw, _per_item(lambda value: _clamp_small_negative(value, CLAMP_ATOL, context), raw)
-
-
 def _effective_tangles(psi: PureState) -> dict:
     return {col: effective_three_tangle(psi, pair) for col, pair in _EFFECTIVE.items()}
 
 
 def _anchored_tangles(residuals: dict, effective: dict) -> dict[str, tuple[float, float]]:
-    """Every anchored three-tangle column from the four residuals and two effective tangles."""
-    return {col: _anchored_tangle(residuals[i], effective[eff], i) for col, i, eff in _ANCHORED}
+    """Every anchored three-tangle column, raw and noise-clamped: the residual of its
+    reference qubit less its grouping's effective three-tangle."""
+    anchored = {}
+    for col, i, eff in _ANCHORED:
+        raw = residuals[i] - effective[eff]
+        context = f"reduced three-tangle at {i.name}"
+        anchored[col] = raw, _clamp_small_negative(raw, CLAMP_ATOL, context)
+    return anchored
 
 
 @dataclass(frozen=True)

@@ -110,7 +110,7 @@ class PureState:
 
     def __post_init__(self):
         amps = _readonly(self.amplitudes)
-        n = int(np.log2(amps.shape[-1])) if amps.ndim in (1, 2) else 0
+        n = amps.shape[-1].bit_length() - 1 if amps.ndim in (1, 2) else 0
         if not 1 <= n <= 4 or 2 ** n != amps.shape[-1]:
             raise ValueError(f"amplitude array of shape {amps.shape} is not a 1..4 qubit state")
         if not np.isfinite(amps).all():
@@ -144,7 +144,7 @@ class DensityMatrix:
         mat = _readonly(self.entries)
         if mat.ndim not in (2, 3) or mat.shape[-2] != mat.shape[-1]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-        n = int(np.log2(mat.shape[-1]))
+        n = mat.shape[-1].bit_length() - 1
         if 2 ** n != mat.shape[-1] or not 1 <= n <= 4:
             raise ValueError(f"matrix of dimension {mat.shape[-1]} is not a 1..4 qubit state")
         if not np.isfinite(mat).all():
@@ -226,22 +226,35 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
 
 def as_matrix(state) -> np.ndarray:
-    """Density-matrix entries of either kind of state object (or a raw array)."""
+    """Density-matrix entries of either kind of state object (or a raw array).
+
+    A raw array with a non-finite entry raises ``ValueError``, so no kernel
+    hands NaN or inf on to LAPACK or turns it into a value.
+    """
     if isinstance(state, DensityMatrix):
         return state.entries
     if isinstance(state, PureState):
         amps = state.amplitudes
         return amps[..., :, None] * amps.conj()[..., None, :]
-    return np.asarray(state, dtype=complex)
+    mat = np.asarray(state, dtype=complex)
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix has non-finite entries")
+    return mat
+
+
+def cut_register(vec: np.ndarray, n_qubits: int, keep) -> np.ndarray:
+    """Amplitude vectors (the last axis) as ``(2**len(keep), 2**rest)`` matrices: the
+    kept slots index the rows and the other slots the columns, each in slot order."""
+    lead = vec.shape[:-1]
+    rest = [q for q in range(n_qubits) if q not in keep]
+    axes = list(range(len(lead))) + [len(lead) + q for q in [*keep, *rest]]
+    m = vec.reshape(lead + (2,) * n_qubits).transpose(axes)
+    return m.reshape(lead + (2 ** len(keep), 2 ** len(rest)))
 
 
 def vector_marginal(vec: np.ndarray, n_qubits: int, keep: tuple[int, ...]) -> np.ndarray:
     """Reduced density matrix of a pure state over the kept slots (slot order kept)."""
-    lead = vec.shape[:-1]
-    rest = [q for q in range(n_qubits) if q not in keep]
-    axes = list(range(len(lead)))
-    m = vec.reshape(lead + (2,) * n_qubits).transpose(axes + [len(lead) + q for q in [*keep, *rest]])
-    m = m.reshape(lead + (2 ** len(keep), 2 ** len(rest)))
+    m = cut_register(vec, n_qubits, keep)
     return m @ _dagger(m)
 
 
@@ -319,8 +332,9 @@ def fidelity_pure(rho, psi: PureState):
     if mat.shape[-1] != vec.size:
         raise ValueError(f"dimension mismatch: matrix {mat.shape[-1]} vs state {vec.size}")
     bra = vec.conj() @ mat
-    # one 1-D dot per item: a stacked product sums in another order
-    value = np.array([b @ vec for b in bra.reshape(-1, vec.size)]).reshape(bra.shape[:-1])
+    # a stacked (1, d) @ (d, 1) product runs the BLAS dot of a single 1-D
+    # product for each item, so a stack's values equal its states' alone
+    value = (bra[..., None, :] @ vec[:, None])[..., 0, 0]
     if (np.abs(value.imag) > 1e-9).any():
         worst = value.imag.flat[np.abs(value.imag).argmax()]
         raise ValueError(f"fidelity has imaginary part {worst}; input not Hermitian?")

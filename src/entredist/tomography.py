@@ -95,14 +95,15 @@ class Counts:
     """One count set: ``counts[id]`` successes out of ``shots`` for every setting id.
 
     ``counts`` becomes a read-only integer array of shape (256,) in setting-id
-    order; ``shots`` is an integer of at least 1.
+    order; ``shots`` is an integer of at least 1, not a boolean.
     """
 
     counts: np.ndarray
     shots: int
 
     def __post_init__(self):
-        if not isinstance(self.shots, (int, np.integer)) or self.shots < 1:
+        if isinstance(self.shots, bool) or not isinstance(self.shots, (int, np.integer)) \
+                or self.shots < 1:
             raise ValueError(f"shots must be an integer of at least 1, got {self.shots!r}")
         raw = np.asarray(self.counts)
         if raw.shape != (N_SETTINGS,):

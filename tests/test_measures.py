@@ -15,6 +15,7 @@ from oracles import (
     xstate_concurrence,
 )
 from entredist.measures import (
+    CLAMP_ATOL,
     PAIR_CUT,
     _antisym_overlap_matrix,
     DecompositionError,
@@ -47,8 +48,11 @@ from entredist.qcore import (
     PureState,
     Subsystem,
     basis_state,
+    eig_hermitian,
+    fidelity_pure,
     haar_state,
     matrix_marginal,
+    numerical_rank,
     partial_trace,
     purity,
     vector_marginal,
@@ -146,6 +150,27 @@ def test_concurrence_werner_closed_form(v):
 def test_concurrence_rejects_wrong_dimension():
     with pytest.raises(ValueError, match="2-qubit"):
         concurrence(np.eye(8) / 8)
+
+
+RAW_KERNELS = {
+    "tangle_lower_bound": (lambda m: tangle_lower_bound(m, PAIR_CUT), 16),
+    "tangle_quasipure": (lambda m: tangle_quasipure(m, PAIR_CUT), 16),
+    "purity": (purity, 16),
+    "fidelity_pure": (lambda m: fidelity_pure(m, dicke_state()), 16),
+    "concurrence": (concurrence, 4),
+    "numerical_rank": (lambda m: numerical_rank(m, 1e-6), 16),
+    "eig_hermitian": (eig_hermitian, 16),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("kernel", RAW_KERNELS)
+def test_raw_array_kernels_reject_non_finite_entries(kernel, bad):
+    fn, dim = RAW_KERNELS[kernel]
+    mat = np.eye(dim, dtype=complex) / dim
+    mat[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        fn(mat)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -706,6 +731,46 @@ def test_stacked_report_warns_once_per_state(rng):
     single = messages(lambda: [compute_report(DensityMatrix(m), 0.0) for m in mats])
     assert sum("rank above two" in text for text in stacked) == 3
     assert stacked == single
+
+
+def test_stacked_clamp_zeroes_noise_and_warns_per_state():
+    # The W state mixed with a little of a rephased W: each quasi-pure single-qubit
+    # tangle falls below its pairwise terms, inside the noise band at weight 1e-3 and
+    # beyond it at 3e-3 and 0.1.  On mixed rows an anchored tangle is its residual,
+    # clamped.
+    w = np.zeros(16, dtype=complex)
+    w[[1, 2, 4, 8]] = 0.5
+    v = np.zeros(16, dtype=complex)
+    v[[1, 2, 4, 8]] = np.array([1, 1j, 1, -1j]) / 2
+    mats = [(1 - eps) * np.outer(w, w.conj()) + eps * np.outer(v, v.conj())
+            for eps in (1e-3, 3e-3, 0.1)]
+
+    def recorded(call):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = call()
+        return result, sorted(str(c.message) for c in caught if "reduced" in str(c.message))
+
+    stacked, stacked_messages = recorded(
+        lambda: compute_report(DensityMatrix(np.array(mats)), np.zeros(3)))
+    single, single_messages = recorded(lambda: [compute_report(DensityMatrix(m), 0.0) for m in mats])
+    assert stacked == single and stacked_messages == single_messages
+
+    anchored = (("tau_u_s1_s2e2", "S1"), ("tau_u_s2_s1e1", "S2"),
+                ("tau_u_e1_s2e2", "E1"), ("tau_u_e2_s1e1", "E2"))
+    expected, in_band = [], 0
+    for report in stacked:
+        for column, ref in anchored:
+            raw, tau = getattr(report, f"residual_{ref.lower()}"), getattr(report, column)
+            assert raw < 0.0
+            if raw < -CLAMP_ATOL:
+                assert tau == raw
+                expected.append(f"reduced three-tangle at {ref} = {raw:.3e} is negative beyond noise")
+            else:
+                assert tau == 0.0
+                in_band += 1
+    assert in_band == 4 and len(expected) == 8
+    assert stacked_messages == sorted(expected)
 
 
 def test_compute_report_rejects_mismatched_p():

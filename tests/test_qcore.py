@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,16 @@ def test_state_validation_errors():
         DensityMatrix(np.eye(2))
     with pytest.raises(ValueError, match="eigenvalue"):
         DensityMatrix(np.diag([1.5, -0.5]))
+
+
+@pytest.mark.parametrize("make", [lambda: PureState(np.zeros(0)),
+                                  lambda: DensityMatrix(np.zeros((0, 0)))],
+                         ids=["PureState", "DensityMatrix"])
+def test_empty_states_are_not_qubit_states(make):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="is not a 1..4 qubit state"):
+            make()
 
 
 # -- invariants ------------------------------------------------------------

@@ -130,6 +130,7 @@ def test_counts_validation():
     cases = [
         (np.zeros(256, dtype=int), 0, "shots"),
         (np.full(256, 10), 10.0, "shots"),
+        (np.ones(256, dtype=int), True, "shots"),
         (np.zeros(250, dtype=int), 10, "256 counts"),  # missing settings
         (np.zeros((16, 16), dtype=int), 10, "256 counts"),
         (np.r_[11, np.zeros(255, dtype=int)], 10, r"count 11 outside \[0, shots=10\]"),
