@@ -7,6 +7,7 @@ invariant battery reports a failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from .tomography import mle_reconstruct, save_counts, save_settings_manifest, si
 
 
 def _load_config(args) -> SweepConfig:
+    """The config file, checked on its own, then the flags given replacing its values."""
     path = Path(args.config)
     try:
         payload = json.loads(path.read_text())
@@ -27,14 +29,10 @@ def _load_config(args) -> SweepConfig:
     if not isinstance(payload, dict):
         raise SystemExit(f"error: invalid config: {path} holds a {type(payload).__name__}, "
                          "not a JSON object")
+    overrides = {name: getattr(args, name, None) for name in ("seed", "shots", "estimator")}
     try:
-        if args.seed is not None:
-            payload["seed"] = args.seed
-        if args.shots is not None:
-            payload.setdefault("tomography", {})["shots"] = args.shots
-        if getattr(args, "estimator", None) is not None:
-            payload["estimator"] = args.estimator
-        return SweepConfig.from_json(payload, base_dir=path.parent)
+        config = SweepConfig.from_json(payload, base_dir=path.parent)
+        return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
     except (ValueError, KeyError, TypeError) as exc:
         raise SystemExit(f"error: invalid config: {exc}") from exc
 
@@ -56,8 +54,8 @@ def _cmd_thresholds(args) -> int:
     config = _load_config(args)
     text = json.dumps(thresholds(sweep(config)), indent=1)
     print(text)
-    if args.out:
-        out = Path(args.out)
+    if args.out or config.out_dir:
+        out = Path(args.out or config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "thresholds.json").write_text(text)
         write_manifest(config, out)

@@ -12,7 +12,9 @@ a stack of states they return one value per state.  A single state takes
 the same stacked numpy operations as a stack, with no per-item loop, so each
 value of a stack equals the value of its state alone.
 The quasi-pure tangles of a :class:`DensityMatrix` share one cached
-eigendecomposition, and each cut costs a factored overlap contraction.
+eigendecomposition, and each cut costs a factored overlap contraction.  Every
+marginal comes from ``qcore``, and one function, :func:`_cut_tangle`, picks the
+tangle of every cut: exact if pure, else the "lb" bound or the "qp" estimate.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ from .qcore import (
     numerical_rank,
     psd_sqrt,
     purity,
+    qubit_count,
     resolve_slots,
+    state_marginal,
     subsystem,
     vector_marginal,
 )
@@ -154,16 +158,13 @@ def _side_a_slots(part, n_qubits: int) -> tuple[int, ...]:
 def tangle_pure(psi: PureState, part):
     """Tangle 2(1 - tr rho_A^2) of a pure state across the given bipartition."""
     slots = _side_a_slots(part, psi.n_qubits)
-    rho_a = vector_marginal(psi.amplitudes, psi.n_qubits, slots)
-    return 2.0 * (1.0 - purity(rho_a))
+    return 2.0 * (1.0 - purity(vector_marginal(psi.amplitudes, slots)))
 
 
 def tangle_lower_bound(rho, part):
-    """Purity-gap lower bound max(0, 2[tr rho^2 - tr rho_A^2]) on the tangle."""
+    """Purity-gap lower bound max(0, 2[tr rho^2 - tr rho_A^2]) on the tangle (exact if pure)."""
     mat = as_matrix(rho)
-    n = int(np.log2(mat.shape[-1]))
-    slots = _side_a_slots(part, n)
-    rho_a = matrix_marginal(mat, n, slots)
+    rho_a = matrix_marginal(mat, _side_a_slots(part, qubit_count(mat.shape[-1])))
     return _positive(2.0 * (purity(mat) - purity(rho_a)))
 
 
@@ -197,12 +198,11 @@ def tangle_quasipure(rho, part):
     """
     w, v = eig_hermitian(rho)
     lead, dim = w.shape[:-1], w.shape[-1]
-    n = int(np.log2(dim))
-    slots = _side_a_slots(part, n)
+    slots = _side_a_slots(part, qubit_count(dim))
     w, v = w.reshape(-1, dim), v.reshape(-1, dim, dim)
     keep = w > 1e-13  # a prefix of each row, as w descends
     # Eigenvectors as rows, amplitudes reordered so side A is the leading tensor factor.
-    vecs = cut_register(v.swapaxes(1, 2), n, slots).reshape(-1, dim, dim)
+    vecs = cut_register(v.swapaxes(1, 2), slots).reshape(-1, dim, dim)
     subnormed = np.sqrt(np.where(keep, w, 0.0))[:, :, None] * vecs
 
     kept = keep.sum(axis=1)
@@ -231,9 +231,9 @@ def three_tangle(psi3: PureState):
     if psi3.n_qubits != 3:
         raise ValueError(f"three_tangle needs a 3-qubit state, got {psi3.n_qubits}")
     vec = psi3.amplitudes
-    one_to_rest = 4.0 * np.linalg.det(vector_marginal(vec, 3, (0,))).real
-    c_ij = concurrence(vector_marginal(vec, 3, (0, 1)))
-    c_ik = concurrence(vector_marginal(vec, 3, (0, 2)))
+    one_to_rest = 4.0 * np.linalg.det(vector_marginal(vec, (0,))).real
+    c_ij = concurrence(vector_marginal(vec, (0, 1)))
+    c_ik = concurrence(vector_marginal(vec, (0, 2)))
     return _clamp_small_negative(one_to_rest - np.square(c_ij) - np.square(c_ik), 1e-7,
                                  "three-tangle")
 
@@ -252,7 +252,7 @@ def compress_pair_to_qubit(psi: PureState, pair) -> PureState:
     if len(pair_slots) != 2:
         raise ValueError(f"pair must name two distinct subsystems, got {pair!r}")
     amps = psi.amplitudes
-    rho_pair = vector_marginal(amps, 4, pair_slots)
+    rho_pair = vector_marginal(amps, pair_slots)
     w, v = eig_hermitian(rho_pair)
     high = w[..., 2] > 1e-6 * w[..., 0]
     if high.any():
@@ -267,7 +267,7 @@ def compress_pair_to_qubit(psi: PureState, pair) -> PureState:
     iso = (cols * (pivot.conj() / np.abs(pivot))).swapaxes(-1, -2)  # 4 x 2 per state
 
     kept = [q for q in range(4) if q not in pair_slots]
-    out = cut_register(amps, 4, kept) @ iso.conj()  # (kept, effective)
+    out = cut_register(amps, kept) @ iso.conj()  # (kept, effective)
     # np.linalg.norm of one item is sqrt(re.re + im.im) with BLAS dots; a stacked
     # (1, 8) @ (8, 1) matmul runs the same dot per item, so the norms are
     # bit-equal (norm(axis=...) sums in another order)
@@ -307,11 +307,7 @@ _ANCHORED = (
 
 def _pair_table(state):
     """The six pair marginals, their signed and their squared concurrences, by slot pair."""
-    if isinstance(state, PureState):
-        marginals = {ab: vector_marginal(state.amplitudes, 4, ab) for ab in _PAIRS}
-    else:
-        mat = as_matrix(state)
-        marginals = {ab: matrix_marginal(mat, 4, ab) for ab in _PAIRS}
+    marginals = {ab: state_marginal(state, ab) for ab in _PAIRS}
     gamma = {ab: concurrence_signed(m) for ab, m in marginals.items()}
     c2 = {ab: native(np.square(_positive(g))) for ab, g in gamma.items()}
     return marginals, gamma, c2
@@ -332,29 +328,25 @@ def _pair_cut_rank(marginals):
     return numerical_rank(marginals[(0, 2)], 1e-6)
 
 
-def _residual_pair(state, estimator: str, marginals, c2, lower_bound=None):
-    """Pair-cut tangle, by the requested estimator on mixed input, less the pairwise terms.
+def _cut_tangle(state, part, estimator: str):
+    """Tangle across ``part``: exact on a pure state; on a mixed one the purity-gap
+    bound ("lb") or the quasi-pure estimate ("qp")."""
+    if estimator not in ("lb", "qp"):
+        raise ValueError(f"unknown pair-cut estimator {estimator!r}")
+    if isinstance(state, PureState):
+        return tangle_pure(state, part)
+    return (tangle_lower_bound if estimator == "lb" else tangle_quasipure)(state, part)
 
-    ``lower_bound`` is the pair-cut ``tangle_lower_bound`` when the caller has it already.
-    """
+
+def _residual_pair(tangle, marginals, c2):
+    """The pair-cut ``tangle`` less the pairwise terms; a rank above two warns per state."""
     for _ in range(np.count_nonzero(_pair_cut_rank(marginals) > 2)):  # one per state
         warnings.warn("(S1,E1) marginal has rank above two; residual is not certified")
-    if isinstance(state, PureState):
-        big = tangle_pure(state, PAIR_CUT)
-    elif estimator == "lb":
-        big = tangle_lower_bound(state, PAIR_CUT) if lower_bound is None else lower_bound
-    elif estimator == "qp":
-        big = tangle_quasipure(state, PAIR_CUT)
-    else:
-        raise ValueError(f"unknown pair-cut estimator {estimator!r}")
-    return big - sum(c2[ab] for ab in _PAIR_CUT_TERMS)
+    return tangle - sum(c2[ab] for ab in _PAIR_CUT_TERMS)
 
 
 def _residual_single(state, i: Subsystem, c2):
-    if isinstance(state, PureState):
-        big = tangle_pure(state, (int(i),))
-    else:
-        big = tangle_quasipure(state, (int(i),))
+    big = _cut_tangle(state, (int(i),), "qp")
     return big - sum(c2[tuple(sorted((i, j)))] for j in ALL_SUBSYSTEMS if j != i)
 
 
@@ -366,7 +358,7 @@ def residual_pair_cut(state) -> float:
     marginal of rank above two voids the monogamy guarantee, so it only warns.
     """
     marginals, _, c2 = _pair_table(state)
-    return _residual_pair(state, "lb", marginals, c2)
+    return _residual_pair(_cut_tangle(state, PAIR_CUT, "lb"), marginals, c2)
 
 
 def residual_single_qubit(state, i) -> float:
@@ -415,7 +407,7 @@ def decompose_pair_residual(psi: PureState) -> ResidualDecomposition:
     residuals = {i: _residual_single(psi, i, c2) for i in ALL_SUBSYSTEMS}
     anchored = _anchored_tangles(residuals, effective)
     half_sum = 0.5 * (sum(raw for raw, _ in anchored.values()) + sum(effective.values()))
-    residual = _residual_pair(psi, "lb", marginals, c2)
+    residual = _residual_pair(_cut_tangle(psi, PAIR_CUT, "lb"), marginals, c2)
     discrepancy = abs(half_sum - residual)
     if discrepancy > 1e-6:
         raise DecompositionError(
@@ -449,7 +441,8 @@ def monogamy_slacks(state) -> MonogamyReport:
     if rank > 2:
         return MonogamyReport(one_vs_rest, None,
                               f"(S1,E1) marginal rank {rank} > 2; pair-cut check skipped")
-    return MonogamyReport(one_vs_rest, _residual_pair(state, "lb", marginals, c2))
+    return MonogamyReport(one_vs_rest,
+                          _residual_pair(_cut_tangle(state, PAIR_CUT, "lb"), marginals, c2))
 
 
 # ---------------------------------------------------------------------------
@@ -512,19 +505,20 @@ def compute_report(state, p, estimator_pair: str = "lb"):
 
     A single state and its ``p`` give one :class:`TangleReport`; a stack of
     N states and N values of ``p`` give the list of N reports, each equal to
-    the report of its state alone.  ``estimator_pair`` selects the
-    mixed-state stand-in for the pair-cut tangle inside the residual ("lb"
-    purity-gap bound or "qp" quasi-pure).  For mixed input the
-    effective-qubit tangles are reported as zero: they vanish identically on
-    the damped family this pipeline sweeps, and the compression they need is
-    only defined for pure global states.
+    the report of its state alone.  ``estimator_pair`` ("lb", the purity-gap
+    bound ``c2_pair_lb``, or "qp" quasi-pure; any other name raises) picks the
+    pair-cut tangle of the residual on mixed input; on pure input both are the
+    exact tangle.  For mixed input the effective-qubit tangles are reported as
+    zero: they vanish identically on the damped family this pipeline sweeps,
+    and the compression they need is only defined for pure global states.
     """
     p = np.asarray(p, dtype=float)
     lead = _stack_shape(state)
     if p.shape != lead:
         raise ValueError(f"{p.size} values of p for a stack of shape {lead}")
     marginals, gamma, c2 = _pair_table(state)
-    c2_pair_lb = tangle_lower_bound(state, PAIR_CUT)
+    c2_pair_lb = _cut_tangle(state, PAIR_CUT, "lb")
+    pair_cut = c2_pair_lb if estimator_pair == "lb" else _cut_tangle(state, PAIR_CUT, estimator_pair)
     residuals = {i: _residual_single(state, i, c2) for i in ALL_SUBSYSTEMS}
     if isinstance(state, PureState):
         effective = _effective_tangles(state)
@@ -535,7 +529,7 @@ def compute_report(state, p, estimator_pair: str = "lb"):
         p=p, c2_s1s2=c2[0, 1], c2_e1e2=c2[2, 3], c2_s1e2=c2[0, 3], c2_s2e1=c2[1, 2],
         gamma_s1s2=gamma[0, 1], gamma_e1e2=gamma[2, 3],
         c2_pair_lb=c2_pair_lb,
-        residual_pair=_residual_pair(state, estimator_pair, marginals, c2, c2_pair_lb),
+        residual_pair=_residual_pair(pair_cut, marginals, c2),
         **{f"residual_{i.name.lower()}": value for i, value in residuals.items()},
         **{col: tau for col, (_, tau) in _anchored_tangles(residuals, effective).items()},
         **effective,

@@ -8,7 +8,9 @@ lives at vector index 12.
 
 States and kernels take an optional leading batch axis: a stack of N states
 is one state object whose arrays have shape ``(N, ...)``, and a kernel
-returns a Python scalar for one state and an array for a stack.
+returns a Python scalar for one state and an array for a stack.  Registers are
+sized by :func:`qubit_count` alone, slots permuted by :func:`cut_register` alone,
+and :func:`state_marginal` gives the marginal of either kind of state.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "resolve_slots",
     "PureState",
     "DensityMatrix",
+    "qubit_count",
     "basis_state",
     "basis_index",
     "haar_state",
@@ -93,6 +96,14 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def qubit_count(dim: int) -> int:
+    """The n of a register of dimension ``dim`` = 2**n; n must lie in 1..4."""
+    n = dim.bit_length() - 1
+    if not 1 <= n <= 4 or 2 ** n != dim:
+        raise ValueError(f"dimension {dim} is not a 1..4 qubit state")
+    return n
+
+
 def native(values):
     """A single state's value as a Python scalar; a stack's values stay an array."""
     return values.item() if np.ndim(values) == 0 else values
@@ -110,9 +121,9 @@ class PureState:
 
     def __post_init__(self):
         amps = _readonly(self.amplitudes)
-        n = amps.shape[-1].bit_length() - 1 if amps.ndim in (1, 2) else 0
-        if not 1 <= n <= 4 or 2 ** n != amps.shape[-1]:
+        if amps.ndim not in (1, 2):
             raise ValueError(f"amplitude array of shape {amps.shape} is not a 1..4 qubit state")
+        n = qubit_count(amps.shape[-1])
         if not np.isfinite(amps).all():
             raise ValueError("state vector has non-finite amplitudes")
         norm = np.linalg.norm(amps, axis=-1)
@@ -144,9 +155,7 @@ class DensityMatrix:
         mat = _readonly(self.entries)
         if mat.ndim not in (2, 3) or mat.shape[-2] != mat.shape[-1]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-        n = mat.shape[-1].bit_length() - 1
-        if 2 ** n != mat.shape[-1] or not 1 <= n <= 4:
-            raise ValueError(f"matrix of dimension {mat.shape[-1]} is not a 1..4 qubit state")
+        n = qubit_count(mat.shape[-1])
         if not np.isfinite(mat).all():
             raise ValueError("density matrix has non-finite entries")
         dev = float(np.abs(mat - _dagger(mat)).max())
@@ -228,8 +237,8 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 def as_matrix(state) -> np.ndarray:
     """Density-matrix entries of either kind of state object (or a raw array).
 
-    A raw array with a non-finite entry raises ``ValueError``, so no kernel
-    hands NaN or inf on to LAPACK or turns it into a value.
+    A raw array must hold 1..4-qubit matrices with finite entries, else ``ValueError``,
+    so no kernel hands NaN or inf on to LAPACK or turns it into a value.
     """
     if isinstance(state, DensityMatrix):
         return state.entries
@@ -237,37 +246,42 @@ def as_matrix(state) -> np.ndarray:
         amps = state.amplitudes
         return amps[..., :, None] * amps.conj()[..., None, :]
     mat = np.asarray(state, dtype=complex)
+    qubit_count(mat.shape[-1])
     if not np.isfinite(mat).all():
         raise ValueError("matrix has non-finite entries")
     return mat
 
 
-def cut_register(vec: np.ndarray, n_qubits: int, keep) -> np.ndarray:
-    """Amplitude vectors (the last axis) as ``(2**len(keep), 2**rest)`` matrices: the
-    kept slots index the rows and the other slots the columns, each in slot order."""
-    lead = vec.shape[:-1]
-    rest = [q for q in range(n_qubits) if q not in keep]
-    axes = list(range(len(lead))) + [len(lead) + q for q in [*keep, *rest]]
-    m = vec.reshape(lead + (2,) * n_qubits).transpose(axes)
+def cut_register(vec: np.ndarray, keep) -> np.ndarray:
+    """Vectors over a register of 2**n (the last axis) as ``(2**len(keep), 2**rest)`` matrices:
+    the kept slots, in the order given, index the rows and the rest, in slot order, the columns."""
+    lead, n = vec.shape[:-1], vec.shape[-1].bit_length() - 1
+    rest = [q for q in range(n) if q not in keep]
+    axes = [*range(len(lead)), *(len(lead) + q for q in [*keep, *rest])]
+    m = vec.reshape(lead + (2,) * n).transpose(axes)
     return m.reshape(lead + (2 ** len(keep), 2 ** len(rest)))
 
 
-def vector_marginal(vec: np.ndarray, n_qubits: int, keep: tuple[int, ...]) -> np.ndarray:
+def vector_marginal(vec: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     """Reduced density matrix of a pure state over the kept slots (slot order kept)."""
-    m = cut_register(vec, n_qubits, keep)
+    m = cut_register(vec, keep)
     return m @ _dagger(m)
 
 
-def matrix_marginal(mat: np.ndarray, n_qubits: int, keep: tuple[int, ...]) -> np.ndarray:
-    """Partial trace of a density matrix, keeping the given slots in slot order."""
-    lead = mat.shape[:-2]
-    rest = [q for q in range(n_qubits) if q not in keep]
-    t = mat.reshape(lead + (2,) * (2 * n_qubits))
-    perm = list(keep) + rest + [n_qubits + q for q in keep] + [n_qubits + q for q in rest]
-    dk, dr = 2 ** len(keep), 2 ** len(rest)
-    axes = list(range(len(lead)))
-    t = t.transpose(axes + [len(lead) + q for q in perm]).reshape(lead + (dk, dr, dk, dr))
-    return np.einsum("...abcb->...ac", t)
+def matrix_marginal(mat: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """Partial trace of a density matrix, keeping the given slots in slot order: the flat
+    matrix is a register of row then column slots, cut at the kept ones of each."""
+    lead, dim, d_keep = mat.shape[:-2], mat.shape[-1], 2 ** len(keep)
+    n = dim.bit_length() - 1
+    m = cut_register(mat.reshape(lead + (dim * dim,)), [*keep, *(n + q for q in keep)])
+    return np.einsum("...acbb->...ac", m.reshape(lead + (d_keep, d_keep) + (dim // d_keep,) * 2))
+
+
+def state_marginal(state, keep: tuple[int, ...]) -> np.ndarray:
+    """Raw reduced density matrix over the kept slots of either kind of state or a raw matrix."""
+    if isinstance(state, PureState):
+        return vector_marginal(state.amplitudes, keep)
+    return matrix_marginal(as_matrix(state), keep)
 
 
 def partial_trace(rho, keep) -> DensityMatrix:
@@ -276,19 +290,12 @@ def partial_trace(rho, keep) -> DensityMatrix:
     Accepts a :class:`DensityMatrix` or a :class:`PureState`; the kept slots
     retain their register order and the result has unit trace.
     """
-    if isinstance(rho, PureState):
-        n = rho.n_qubits
-        slots = resolve_slots(keep, n)
-        if len(slots) == n:
-            return rho.density()
-        return DensityMatrix(vector_marginal(rho.amplitudes, n, slots))
-    if isinstance(rho, DensityMatrix):
-        n = rho.n_qubits
-        slots = resolve_slots(keep, n)
-        if len(slots) == n:
-            return rho
-        return DensityMatrix(matrix_marginal(rho.entries, n, slots))
-    raise TypeError(f"expected a state object, got {type(rho).__name__}")
+    if not isinstance(rho, (PureState, DensityMatrix)):
+        raise TypeError(f"expected a state object, got {type(rho).__name__}")
+    slots = resolve_slots(keep, rho.n_qubits)
+    if len(slots) < rho.n_qubits:
+        return DensityMatrix(state_marginal(rho, slots))
+    return rho if isinstance(rho, DensityMatrix) else rho.density()
 
 
 def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:

@@ -6,8 +6,9 @@ is estimated by brute-force minimization over randomly sampled ensemble
 decompositions, the tomography setting kets are built one ``np.kron`` at a
 time, the Born map goes through the dense frame of the 256 projectors built
 from them, the Born system is solved by least squares, sweep records are
-encoded by ``json.dumps`` with its own indentation, and the Wootters spin flip
-is the matrix product with sigma_y x sigma_y.
+encoded by ``json.dumps`` with its own indentation, the Wootters spin flip
+is the matrix product with sigma_y x sigma_y, and a partial trace permutes the
+matrix's own tensor axes.
 """
 
 import itertools
@@ -217,3 +218,18 @@ def matmul_concurrence_signed(rho2):
     lam = np.linalg.eigvalsh(hermitian_part(root @ (SY_SY @ mat.conj() @ SY_SY) @ root))[..., ::-1]
     lam = np.sqrt(np.where(lam < 1e-9, 0.0, lam))
     return lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+
+
+def permuted_matrix_marginal(mat, n_qubits, keep):
+    """Partial trace keeping the slots ``keep`` of a (stack of) 2**n_qubits matrices.
+
+    The matrix's 2n tensor axes are permuted to (kept rows, traced rows, kept
+    columns, traced columns) and the traced row and column indices summed together.
+    """
+    lead = mat.shape[:-2]
+    rest = [q for q in range(n_qubits) if q not in keep]
+    perm = [*keep, *rest, *(n_qubits + q for q in keep), *(n_qubits + q for q in rest)]
+    d_keep, d_rest = 2 ** len(keep), 2 ** len(rest)
+    t = mat.reshape(lead + (2,) * (2 * n_qubits))
+    t = t.transpose([*range(len(lead)), *(len(lead) + q for q in perm)])
+    return np.einsum("...abcb->...ac", t.reshape(lead + (d_keep, d_rest, d_keep, d_rest)))

@@ -200,6 +200,39 @@ def test_negative_seed_override_exits_one(tmp_path, config_path, capsys):
         assert "seed must be non-negative" in capsys.readouterr().err, command
 
 
+def test_flags_do_not_mend_a_bad_config_value(tmp_path, config_path, capsys):
+    # the file is checked on its own, before the flags replace its values
+    pure = json.loads(config_path.read_text())
+    bad = tmp_path / "bad.json"
+    for payload, flag, message in (
+        ({**pure, "seed": -1}, ["--seed", "3"], "seed must be non-negative"),
+        ({**pure, "seed": "7"}, ["--seed", "3"], "seed must be an integer"),
+        ({**pure, "tomography": {"shots": 0}}, ["--shots", "500"], "shots must be positive"),
+        ({**pure, "tomography": {"shots": 2.5}}, ["--shots", "500"], "tomography.shots"),
+    ):
+        bad.write_text(json.dumps(payload))
+        for command in ("sweep", "thresholds", "tomo-roundtrip"):
+            capsys.readouterr()
+            assert main([command, "--config", str(bad), "--out", str(tmp_path / "out"),
+                         *flag]) == 1, (command, payload)
+            assert message in capsys.readouterr().err, (command, payload)
+
+
+def test_thresholds_writes_under_the_config_out_dir(tmp_path, config_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["thresholds", "--config", str(config_path)]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]  # only printed
+    out = tmp_path / "from_config"
+    cfg = tmp_path / "with_out_dir.json"
+    cfg.write_text(json.dumps({**json.loads(config_path.read_text()), "out_dir": str(out)}))
+    capsys.readouterr()
+    assert main(["thresholds", "--config", str(cfg)]) == 0
+    assert json.loads((out / "thresholds.json").read_text()) == json.loads(capsys.readouterr().out)
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 7
+    assert main(["thresholds", "--config", str(cfg), "--out", str(tmp_path / "flag")]) == 0
+    assert (tmp_path / "flag" / "thresholds.json").read_bytes() == (out / "thresholds.json").read_bytes()
+
+
 def test_unknown_figure_protected_internally(config_path, tmp_path):
     # argparse rejects unknown subcommands with exit code 1
     assert main(["render", "--config", str(config_path)]) == 1

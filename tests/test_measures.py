@@ -11,6 +11,7 @@ from oracles import (
     antisym_overlap_direct,
     convex_roof_tangle,
     matmul_concurrence_signed,
+    permuted_matrix_marginal,
     werner_concurrence,
     xstate_concurrence,
 )
@@ -111,7 +112,7 @@ def test_spin_flip_matches_the_matrix_product_bit_for_bit(rng):
     mats = _density_matrices_with_zeros(rng, 200)
     assert (mats == 0.0).any()
     family = family_state(np.linspace(0.0, 1.0, 101)).amplitudes
-    for stack in (mats, *(vector_marginal(family, 4, ab) for ab in itertools.combinations(range(4), 2))):
+    for stack in (mats, *(vector_marginal(family, ab) for ab in itertools.combinations(range(4), 2))):
         got = concurrence_signed(stack)
         assert got.tobytes() == matmul_concurrence_signed(stack).tobytes()
         assert got.tobytes() == np.array([concurrence_signed(m) for m in stack]).tobytes()
@@ -125,7 +126,7 @@ def test_concurrence_signed_product_and_maximally_mixed():
 def test_gamma_environment_crosses_zero_at_birth():
     # the signed value stays negative before the birth threshold (~0.59)
     def gamma_env(p):
-        return concurrence_signed(vector_marginal(family_state(p).amplitudes, 4, (2, 3)))
+        return concurrence_signed(vector_marginal(family_state(p).amplitudes, (2, 3)))
 
     assert gamma_env(0.55) < 0.0
     assert gamma_env(0.58) < 0.0
@@ -171,6 +172,28 @@ def test_raw_array_kernels_reject_non_finite_entries(kernel, bad):
     mat[1, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
         fn(mat)
+
+
+@pytest.mark.parametrize("mat", [np.zeros((0, 0)), np.eye(6) / 6], ids=["0x0", "6x6"])
+@pytest.mark.parametrize("kernel", RAW_KERNELS)
+def test_raw_array_kernels_reject_non_register_dimensions(kernel, mat):
+    fn, _ = RAW_KERNELS[kernel]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="is not a 1..4 qubit state"):
+            fn(mat)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_matrix_marginal_equals_the_permutation_oracle_bit_for_bit(n):
+    dim, rng = 2 ** n, np.random.default_rng(n)
+    for lead in ((), (1,), (7,)):
+        mat = rng.standard_normal(lead + (dim, dim)) + 1j * rng.standard_normal(lead + (dim, dim))
+        for size in range(1, n + 1):
+            for keep in itertools.combinations(range(n), size):
+                got = matrix_marginal(mat, keep)
+                want = permuted_matrix_marginal(mat, n, keep)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (lead, keep)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -474,7 +497,7 @@ def test_decompose_pair_residual_reports_both_sides(monkeypatch):
     import entredist.measures as measures
 
     monkeypatch.setattr(
-        measures, "_residual_pair", lambda state, estimator, marginals, c2: 123.0
+        measures, "_residual_pair", lambda tangle, marginals, c2: 123.0
     )
     with pytest.raises(DecompositionError, match="half-sum"):
         decompose_pair_residual(family_state(0.3))
@@ -555,8 +578,8 @@ def test_dicke_witness_interval_on_family():
 def test_pairwise_concurrences_match_xstate_closed_forms():
     for p in np.linspace(0.0, 1.0, 51):
         v = family_state(p).amplitudes
-        c_ss = concurrence(vector_marginal(v, 4, (0, 1)))
-        c_ee = concurrence(vector_marginal(v, 4, (2, 3)))
+        c_ss = concurrence(vector_marginal(v, (0, 1)))
+        c_ee = concurrence(vector_marginal(v, (2, 3)))
         assert c_ss == pytest.approx(
             2 * BETA * (1 - p) * max(0.0, ALPHA - BETA * p), abs=1e-8
         )
@@ -575,7 +598,7 @@ def test_cross_pair_concurrences_small_and_zero_inside_window():
     cap = ALPHA ** 2 / 2.0
     for p in np.linspace(0.0, 1.0, 101):
         v = family_state(p).amplitudes
-        rho = vector_marginal(v, 4, (0, 3))
+        rho = vector_marginal(v, (0, 3))
         c_se = concurrence(rho)
         closed = 2 * BETA * np.sqrt(p * (1 - p)) * max(
             0.0, ALPHA - BETA * np.sqrt(p * (1 - p))
@@ -584,7 +607,7 @@ def test_cross_pair_concurrences_small_and_zero_inside_window():
         assert c_se == pytest.approx(xstate_concurrence(rho), abs=1e-8)
         assert c_se <= cap + 1e-9
         assert c_se == pytest.approx(
-            concurrence(vector_marginal(v, 4, (1, 2))), abs=1e-8
+            concurrence(vector_marginal(v, (1, 2))), abs=1e-8
         )
         if P_ESD <= p <= P_ESB:
             assert c_se == 0.0
@@ -702,11 +725,11 @@ def test_stacked_engine_equals_per_state_calls(case):
 
     for ab in ((0, 1), (2, 3), (0, 3)):
         if pure:
-            stacked = concurrence_signed(vector_marginal(entries, 4, ab))
-            single = [concurrence_signed(vector_marginal(s.amplitudes, 4, ab)) for s in states]
+            stacked = concurrence_signed(vector_marginal(entries, ab))
+            single = [concurrence_signed(vector_marginal(s.amplitudes, ab)) for s in states]
         else:
-            stacked = concurrence_signed(matrix_marginal(entries, 4, ab))
-            single = [concurrence_signed(matrix_marginal(s.entries, 4, ab)) for s in states]
+            stacked = concurrence_signed(matrix_marginal(entries, ab))
+            single = [concurrence_signed(matrix_marginal(s.entries, ab)) for s in states]
         assert stacked.tolist() == single, ab
     if pure:
         for pair in (("S2", "E2"), ("S1", "E1")):
@@ -771,6 +794,21 @@ def test_stacked_clamp_zeroes_noise_and_warns_per_state():
                 in_band += 1
     assert in_band == 4 and len(expected) == 8
     assert stacked_messages == sorted(expected)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+def test_compute_report_rejects_an_unknown_estimator(mixed):
+    state = family_state(0.3)
+    with pytest.raises(ValueError, match="unknown pair-cut estimator 'xx'"):
+        compute_report(state.density() if mixed else state, 0.3, estimator_pair="xx")
+
+
+def test_pure_pair_cut_bound_is_the_exact_tangle():
+    # tr rho^2 = 1 on a pure state, so the purity-gap bound is the tangle itself
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        psi = random_family_state(rng)
+        assert compute_report(psi, 0.0).c2_pair_lb == tangle_pure(psi, PAIR_CUT)
 
 
 def test_compute_report_rejects_mismatched_p():
