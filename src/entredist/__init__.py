@@ -54,7 +54,6 @@ from .measures import (  # noqa: E402,F401
     effective_three_tangle,
     monogamy_slacks,
     residual_pair_cut,
-    residual_single_qubit,
     tangle_lower_bound,
     tangle_pure,
     tangle_quasipure,

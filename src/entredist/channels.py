@@ -9,11 +9,9 @@ amplitude-damping channel; keeping it gives the full four-qubit dynamics.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -22,9 +20,7 @@ from .qcore import (
     DensityMatrix,
     PureState,
     _conjugated,
-    _json_float,
     kron,
-    state_from_json,
 )
 
 __all__ = [
@@ -42,9 +38,6 @@ def theta_to_p(theta: float) -> float:
     """Damping strength sin^2(2*theta) set by the half-wave-plate angle (radians)."""
     s = math.sin(2.0 * theta)
     return s * s
-
-
-_AMPLITUDE_KEYS = ("alpha_re", "alpha_im", "beta_re", "beta_im")
 
 
 @dataclass(frozen=True)
@@ -78,20 +71,6 @@ class InitialSpec:
             raise ValueError(f"|alpha|^2+|beta|^2 = {norm2} deviates from 1 beyond {NORM_ATOL}")
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
-
-    @classmethod
-    def from_json(cls, payload: dict, base_dir=".") -> "InitialSpec":
-        """Read {"alpha_re":..,"alpha_im":..,"beta_re":..,"beta_im":..} or {"mixed_system_file": path}."""
-        if "mixed_system_file" in payload:
-            given = [k for k in _AMPLITUDE_KEYS if k in payload]
-            if given:
-                raise ValueError(f"give either amplitudes or mixed_system_file, not both: {given}")
-            path = Path(base_dir) / payload["mixed_system_file"]
-            return cls(mixed_system=state_from_json(json.loads(path.read_text())))
-        alpha, beta = (complex(_json_float(payload[f"{name}_re"], f"{name}_re"),
-                               _json_float(payload.get(f"{name}_im", 0.0), f"{name}_im"))
-                       for name in ("alpha", "beta"))
-        return cls(alpha=alpha, beta=beta)
 
 
 def initial_state(spec: InitialSpec):

@@ -26,20 +26,18 @@ def _load_config(args) -> SweepConfig:
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise SystemExit(f"error: cannot read config {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise SystemExit(f"error: invalid config: {path} holds a {type(payload).__name__}, "
-                         "not a JSON object")
-    overrides = {name: getattr(args, name, None) for name in ("seed", "shots", "estimator")}
+    flags = {"out_dir": args.out, "seed": args.seed, "shots": args.shots,
+             "estimator": getattr(args, "estimator", None)}
     try:
         config = SweepConfig.from_json(payload, base_dir=path.parent)
-        return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
+        return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
     except (ValueError, KeyError, TypeError) as exc:
         raise SystemExit(f"error: invalid config: {exc}") from exc
 
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
-    out = Path(args.out or config.out_dir or ".")
+    out = Path(config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     rows = sweep(config)
     write_sweep(rows, config, out)
@@ -54,8 +52,8 @@ def _cmd_thresholds(args) -> int:
     config = _load_config(args)
     text = json.dumps(thresholds(sweep(config)), indent=1)
     print(text)
-    if args.out or config.out_dir:
-        out = Path(args.out or config.out_dir)
+    if config.out_dir:
+        out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "thresholds.json").write_text(text)
         write_manifest(config, out)
@@ -73,7 +71,7 @@ def _cmd_tomo_roundtrip(args) -> int:
     config = _load_config(args)
     if not 0.0 <= args.p <= 1.0:
         raise SystemExit(f"error: --p must lie in [0, 1], got {args.p}")
-    out = Path(args.out or config.out_dir or ".")
+    out = Path(config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
 
     state = evolve(initial_state(config.initial), args.p, args.p)
@@ -134,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     configured = argparse.ArgumentParser(add_help=False)
     configured.add_argument("--config", required=True, help="JSON sweep configuration")
-    configured.add_argument("--out", help="output directory (defaults to config out_dir or cwd)")
+    configured.add_argument("--out", help="output directory, overriding the config's out_dir "
+                            "(with neither: the cwd; thresholds then only prints)")
     configured.add_argument("--seed", type=int, help="override the config seed")
     configured.add_argument("--shots", type=int, help="override tomography shots")
     swept = argparse.ArgumentParser(add_help=False, parents=[configured])

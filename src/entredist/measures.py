@@ -41,7 +41,6 @@ from .qcore import (
     qubit_count,
     resolve_slots,
     state_marginal,
-    subsystem,
     vector_marginal,
 )
 
@@ -58,7 +57,6 @@ __all__ = [
     "compress_pair_to_qubit",
     "effective_three_tangle",
     "residual_pair_cut",
-    "residual_single_qubit",
     "decompose_pair_residual",
     "ResidualDecomposition",
     "monogamy_slacks",
@@ -359,11 +357,6 @@ def residual_pair_cut(state) -> float:
     """
     marginals, _, c2 = _pair_table(state)
     return _residual_pair(_cut_tangle(state, PAIR_CUT, "lb"), marginals, c2)
-
-
-def residual_single_qubit(state, i) -> float:
-    """Residual entanglement of qubit i versus the rest beyond pairwise terms."""
-    return _residual_single(state, subsystem(i), _pair_table(state)[2])
 
 
 def _effective_tangles(psi: PureState) -> dict:

@@ -45,6 +45,7 @@ from .qcore import (
     haar_state,
     numerical_rank,
     partial_trace,
+    state_from_json,
     state_to_json,
 )
 from .tomography import mle_reconstruct, simulate_counts
@@ -77,6 +78,11 @@ FIGURE_COLUMNS = {
 }
 
 
+# Every key a config file may hold; the four amplitudes come first.
+_CONFIG_KEYS = ("alpha_re", "alpha_im", "beta_re", "beta_im", "mixed_system_file", "p_grid",
+                "estimator", "tomography", "seed", "out_dir")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Everything a sweep needs: initial spec, grid, estimators, tomography."""
@@ -105,7 +111,21 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, payload: dict, base_dir=".") -> "SweepConfig":
-        grid = payload.get("p_grid", {"start": 0.0, "stop": 1.0, "steps": 101})
+        """The one reader of the config layout (README, "Command line"); a key outside
+        it raises ``ValueError``, and ``mixed_system_file`` is read relative to ``base_dir``."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"a config must be a JSON object, got a {type(payload).__name__}")
+        grid = payload.get("p_grid", {})
+        tomo = payload.get("tomography", {})
+        if not isinstance(tomo, dict):
+            raise ValueError(f"tomography must be a JSON object, got {tomo!r}")
+        for where, given, known in (("config", payload, _CONFIG_KEYS),
+                                    ("p_grid", grid if isinstance(grid, dict) else {},
+                                     ("start", "stop", "steps")),
+                                    ("tomography", tomo, ("enabled", "shots"))):
+            unknown = sorted(set(given) - set(known))
+            if unknown:
+                raise ValueError(f"unknown {where} keys {unknown}; known: {', '.join(known)}")
         if isinstance(grid, dict):
             steps = _json_int(grid.get("steps", 101), "p_grid.steps")
             if steps < 2:
@@ -116,25 +136,27 @@ class SweepConfig:
             ps = [_json_float(p, "p_grid entry") for p in grid]
         else:
             raise ValueError(f"p_grid must be a JSON object or list, got {grid!r}")
-        tomo = payload.get("tomography", {})
-        if not isinstance(tomo, dict):
-            raise ValueError(f"tomography must be a JSON object, got {tomo!r}")
         enabled = tomo.get("enabled", False)
         if not isinstance(enabled, bool):
             raise ValueError(f"tomography.enabled must be true or false, got {enabled!r}")
-        tomo_seed = _json_int(tomo.get("seed", 0), "tomography.seed")
         out_dir = payload.get("out_dir")
         if out_dir is not None and not isinstance(out_dir, str):
             raise ValueError(f"out_dir must be a JSON string, got {out_dir!r}")
-        return cls(
-            initial=InitialSpec.from_json(payload, base_dir),
-            p_values=tuple(ps),
-            estimator=payload.get("estimator", "lb"),
-            tomography=enabled,
-            shots=_json_int(tomo.get("shots", 100_000), "tomography.shots"),
-            seed=_json_int(payload["seed"], "seed") if "seed" in payload else tomo_seed,
-            out_dir=out_dir,
-        )
+        if "mixed_system_file" in payload:
+            given = [k for k in _CONFIG_KEYS[:4] if k in payload]
+            if given:
+                raise ValueError(f"give either amplitudes or mixed_system_file, not both: {given}")
+            path = Path(base_dir) / payload["mixed_system_file"]
+            initial = InitialSpec(mixed_system=state_from_json(json.loads(path.read_text())))
+        else:
+            alpha, beta = (complex(_json_float(payload[f"{name}_re"], f"{name}_re"),
+                                   _json_float(payload.get(f"{name}_im", 0.0), f"{name}_im"))
+                           for name in ("alpha", "beta"))
+            initial = InitialSpec(alpha=alpha, beta=beta)
+        return cls(initial=initial, p_values=tuple(ps), estimator=payload.get("estimator", "lb"),
+                   tomography=enabled,
+                   shots=_json_int(tomo.get("shots", 100_000), "tomography.shots"),
+                   seed=_json_int(payload.get("seed", 0), "seed"), out_dir=out_dir)
 
     def canonical_json(self) -> str:
         payload = {
@@ -292,11 +314,13 @@ def find_threshold(series, kind: str) -> float | None:
 
 
 def thresholds(rows) -> dict:
-    """ESD of C^2_S1S2 and ESB of C^2_E1E2 over the rows that did not fail."""
+    """ESD of the S1S2 pair and ESB of the E1E2 pair over the rows that did not fail: where
+    the signed concurrence ``gamma_*`` crosses zero, which it does transversally, whereas
+    C^2 only touches zero there and biases the interpolation."""
     live = [r for r in rows if r.report is not None]
     return {
-        "esd": find_threshold([(r.p, r.report.c2_s1s2) for r in live], "esd"),
-        "esb": find_threshold([(r.p, r.report.c2_e1e2) for r in live], "esb"),
+        "esd": find_threshold([(r.p, r.report.gamma_s1s2) for r in live], "esd"),
+        "esb": find_threshold([(r.p, r.report.gamma_e1e2) for r in live], "esb"),
     }
 
 

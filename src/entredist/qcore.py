@@ -237,7 +237,7 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 def as_matrix(state) -> np.ndarray:
     """Density-matrix entries of either kind of state object (or a raw array).
 
-    A raw array must hold 1..4-qubit matrices with finite entries, else ``ValueError``,
+    A raw array must hold square 1..4-qubit matrices with finite entries, else ``ValueError``,
     so no kernel hands NaN or inf on to LAPACK or turns it into a value.
     """
     if isinstance(state, DensityMatrix):
@@ -246,6 +246,8 @@ def as_matrix(state) -> np.ndarray:
         amps = state.amplitudes
         return amps[..., :, None] * amps.conj()[..., None, :]
     mat = np.asarray(state, dtype=complex)
+    if mat.ndim < 2 or mat.shape[-2] != mat.shape[-1]:
+        raise ValueError(f"array of shape {mat.shape} is not a 1..4 qubit state matrix")
     qubit_count(mat.shape[-1])
     if not np.isfinite(mat).all():
         raise ValueError("matrix has non-finite entries")

@@ -21,6 +21,14 @@ INITIAL_TANGLE = 24.0 / 49.0
 P_ESD = ALPHA / BETA          # 1/sqrt(6) ~ 0.40825
 P_ESB = 1.0 - ALPHA / BETA    # ~ 0.59175
 
+# Config keys outside the documented layout, each with the section that holds it.
+UNKNOWN_CONFIG_KEYS = {
+    "estimater": ({"estimater": "qp"}, "config"),
+    "p_grid.step": ({"p_grid": {"start": 0.0, "stop": 1.0, "step": 0.1}}, "p_grid"),
+    "tomography.shot": ({"tomography": {"enabled": True, "shot": 1000}}, "tomography"),
+    "tomography.seed": ({"tomography": {"seed": 3}}, "tomography"),
+}
+
 
 def family_state(p, p2=None):
     """The canonical damped family at strengths (p, p2); p2 defaults to p."""

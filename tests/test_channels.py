@@ -18,6 +18,7 @@ from entredist.channels import (
     theta_to_p,
 )
 from entredist.measures import PAIR_CUT, tangle_pure, tangle_quasipure
+from entredist.pipeline import SweepConfig
 from entredist.qcore import (
     DensityMatrix,
     PureState,
@@ -167,12 +168,13 @@ def test_random_family_state_rank_condition(rng):
 
 
 def test_initial_spec_from_json(tmp_path):
-    spec = InitialSpec.from_json({"alpha_re": float(ALPHA), "beta_re": float(BETA)})
+    # the config reader builds the initial spec from the amplitudes or the state file
+    spec = SweepConfig.from_json({"alpha_re": float(ALPHA), "beta_re": float(BETA)}).initial
     assert spec.alpha == pytest.approx(ALPHA)
     system = mixed_system_with_purity(ALPHA, BETA, 0.82)
     path = tmp_path / "system.json"
     path.write_text(json.dumps(state_to_json(system)))
-    spec = InitialSpec.from_json({"mixed_system_file": "system.json"}, base_dir=tmp_path)
+    spec = SweepConfig.from_json({"mixed_system_file": "system.json"}, base_dir=tmp_path).initial
     assert np.abs(spec.mixed_system.entries - system.entries).max() == 0.0
 
 
@@ -180,7 +182,7 @@ def test_initial_spec_from_json_rejects_pure_fixture(tmp_path):
     bell = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2))
     (tmp_path / "system.json").write_text(json.dumps(state_to_json(bell)))
     with pytest.raises(ValueError, match="pure state"):
-        InitialSpec.from_json({"mixed_system_file": "system.json"}, base_dir=tmp_path)
+        SweepConfig.from_json({"mixed_system_file": "system.json"}, base_dir=tmp_path)
 
 
 def test_initial_spec_rejects_a_pure_mixed_system():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import ALPHA, BETA
+from conftest import ALPHA, BETA, UNKNOWN_CONFIG_KEYS
 from entredist.cli import main
 from entredist.qcore import basis_state, state_to_json
 
@@ -218,19 +218,44 @@ def test_flags_do_not_mend_a_bad_config_value(tmp_path, config_path, capsys):
             assert message in capsys.readouterr().err, (command, payload)
 
 
-def test_thresholds_writes_under_the_config_out_dir(tmp_path, config_path, monkeypatch, capsys):
+# The file each command writes; thresholds with neither --out nor out_dir only prints.
+WRITTEN = {"thresholds": "thresholds.json", "sweep": "sweep.csv", "tomo-roundtrip": "report.json"}
+
+
+@pytest.mark.parametrize("command", WRITTEN)
+def test_commands_write_under_the_config_out_dir(command, tmp_path, config_path, monkeypatch,
+                                                 capsys):
     monkeypatch.chdir(tmp_path)
-    assert main(["thresholds", "--config", str(config_path)]) == 0
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]  # only printed
+    assert main([command, "--config", str(config_path), "--shots", "2000"]) == 0
+    if command == "thresholds":
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]  # only printed
+    else:
+        assert (tmp_path / WRITTEN[command]).exists()
     out = tmp_path / "from_config"
     cfg = tmp_path / "with_out_dir.json"
     cfg.write_text(json.dumps({**json.loads(config_path.read_text()), "out_dir": str(out)}))
+    argv = [command, "--config", str(cfg), "--shots", "2000"]
+    # --out overrides the config's out_dir: nothing is written there
+    assert main([*argv, "--out", str(tmp_path / "flag")]) == 0
+    assert (tmp_path / "flag" / WRITTEN[command]).exists() and not out.exists()
     capsys.readouterr()
-    assert main(["thresholds", "--config", str(cfg)]) == 0
-    assert json.loads((out / "thresholds.json").read_text()) == json.loads(capsys.readouterr().out)
+    assert main(argv) == 0
+    if command == "thresholds":
+        assert json.loads((out / "thresholds.json").read_text()) == json.loads(capsys.readouterr().out)
     assert json.loads((out / "manifest.json").read_text())["seed"] == 7
-    assert main(["thresholds", "--config", str(cfg), "--out", str(tmp_path / "flag")]) == 0
-    assert (tmp_path / "flag" / "thresholds.json").read_bytes() == (out / "thresholds.json").read_bytes()
+    assert (tmp_path / "flag" / WRITTEN[command]).read_bytes() == (out / WRITTEN[command]).read_bytes()
+
+
+@pytest.mark.parametrize("key", UNKNOWN_CONFIG_KEYS)
+def test_unknown_config_keys_exit_one(key, tmp_path, config_path, capsys):
+    extra, where = UNKNOWN_CONFIG_KEYS[key]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**json.loads(config_path.read_text()), **extra}))
+    for command in WRITTEN:
+        capsys.readouterr()
+        assert main([command, "--config", str(bad), "--out", str(tmp_path / "out")]) == 1, command
+        assert f"error: invalid config: unknown {where} keys" in capsys.readouterr().err, command
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_figure_protected_internally(config_path, tmp_path):

@@ -31,7 +31,6 @@ from entredist.measures import (
     effective_three_tangle,
     monogamy_slacks,
     residual_pair_cut,
-    residual_single_qubit,
     tangle_lower_bound,
     tangle_pure,
     tangle_quasipure,
@@ -174,7 +173,8 @@ def test_raw_array_kernels_reject_non_finite_entries(kernel, bad):
         fn(mat)
 
 
-@pytest.mark.parametrize("mat", [np.zeros((0, 0)), np.eye(6) / 6], ids=["0x0", "6x6"])
+@pytest.mark.parametrize("mat", [np.zeros((0, 0)), np.eye(6) / 6, np.ones((2, 4)) / 4,
+                                 np.ones(4) / 2], ids=["0x0", "6x6", "2x4", "vector"])
 @pytest.mark.parametrize("kernel", RAW_KERNELS)
 def test_raw_array_kernels_reject_non_register_dimensions(kernel, mat):
     fn, _ = RAW_KERNELS[kernel]
@@ -425,16 +425,15 @@ def test_residual_pair_cut_warns_on_high_rank(rng):
 
 
 def test_residual_single_qubit_cases():
-    assert residual_single_qubit(basis_state("0101"), Subsystem.S1) == pytest.approx(0.0, abs=1e-12)
+    # a qubit's residual is its one-vs-rest monogamy slack
+    assert monogamy_slacks(basis_state("0101")).one_vs_rest["S1"] == pytest.approx(0.0, abs=1e-12)
     for i in Subsystem:
-        assert residual_single_qubit(GHZ4, i) == pytest.approx(1.0, abs=1e-9)
+        assert monogamy_slacks(GHZ4).one_vs_rest[i.name] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_residual_single_equals_reduced_when_effective_vanishes():
-    psi = family_state(0.5)
-    assert compute_report(psi, 0.5).tau_u_s1_s2e2 == pytest.approx(
-        residual_single_qubit(psi, Subsystem.S1), abs=1e-7
-    )
+    report = compute_report(family_state(0.5), 0.5)
+    assert report.tau_u_s1_s2e2 == pytest.approx(report.residual_s1, abs=1e-7)
 
 
 def test_reduced_three_tangle_zero_initially():

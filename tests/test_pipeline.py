@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import ALPHA, BETA, INITIAL_TANGLE, P_ESB, P_ESD
+from conftest import ALPHA, BETA, INITIAL_TANGLE, P_ESB, P_ESD, UNKNOWN_CONFIG_KEYS
 from entredist.channels import InitialSpec, evolve, initial_state, mixed_system_with_purity
 from entredist.measures import compute_report
 from entredist.qcore import DensityMatrix, PureState
@@ -172,6 +172,14 @@ def test_golden_sweep_file(tmp_path, pure_rows):
     path = tmp_path / "sweep.csv"
     emit_csv(pure_rows, path)
     assert path.read_bytes() == golden.read_bytes()
+
+
+def test_golden_thresholds_lie_on_the_closed_forms(tmp_path, pure_rows):
+    # the signed concurrences cross zero transversally; C^2 only touches zero, and
+    # interpolating it put ESD 1.75e-3 late on this grid
+    write_sweep(pure_rows, pure_config(), tmp_path)
+    found = json.loads((tmp_path / "thresholds.json").read_text())
+    assert abs(found["esd"] - P_ESD) <= 5e-5 and abs(found["esb"] - P_ESB) <= 5e-5, found
 
 
 def test_golden_sweep_matches_the_closed_forms():
@@ -371,16 +379,20 @@ def test_sweep_in_short_stacks_matches_one_pass(monkeypatch):
 
 
 def test_config_parsing_and_validation(tmp_path):
-    payload = {
+    payload = {  # every key of the amplitude form
         "alpha_re": float(ALPHA),
-        "beta_re": float(BETA),
+        "alpha_im": 0.0,
+        "beta_re": 0.0,
+        "beta_im": float(BETA),
         "p_grid": {"start": 0.0, "stop": 1.0, "steps": 11},
         "estimator": "qp",
-        "tomography": {"enabled": True, "shots": 123, "seed": 9},
+        "tomography": {"enabled": True, "shots": 123},
+        "seed": 9,
+        "out_dir": "runs",
     }
     cfg = SweepConfig.from_json(payload)
-    assert len(cfg.p_values) == 11 and cfg.estimator == "qp"
-    assert cfg.tomography and cfg.shots == 123 and cfg.seed == 9
+    assert len(cfg.p_values) == 11 and cfg.estimator == "qp" and cfg.initial.beta == 1j * BETA
+    assert cfg.tomography and cfg.shots == 123 and cfg.seed == 9 and cfg.out_dir == "runs"
 
     cfg = SweepConfig.from_json({"alpha_re": 1.0, "beta_re": 0.0, "p_grid": [0.0, 0.25, 1.0]})
     assert cfg.p_values == (0.0, 0.25, 1.0)
@@ -405,8 +417,6 @@ def test_config_parsing_and_validation(tmp_path):
         {**pure, "seed": True},
         {**pure, "seed": "3"},
         {**pure, "tomography": {"shots": 1.5}},
-        {**pure, "tomography": {"seed": 2.5}},
-        {**pure, "tomography": {"seed": False}},
         {**pure, "p_grid": {"steps": float("inf")}},
     ):
         with pytest.raises(ValueError, match="must be an integer"):
@@ -434,12 +444,25 @@ def test_config_parsing_and_validation(tmp_path):
 
 
 def test_negative_seed_is_rejected():
-    for payload in ({"seed": -1}, {"tomography": {"enabled": True, "seed": -1}}):
+    for payload in ({"seed": -1}, {"seed": -1, "tomography": {"enabled": True}}):
         with pytest.raises(ValueError, match="seed must be non-negative"):
             SweepConfig.from_json({"alpha_re": 1.0, "beta_re": 0.0, **payload})
     with pytest.raises(ValueError, match="seed must be non-negative"):
         pure_config(tomography=True, seed=-1)
     assert pure_config(seed=0).seed == 0
+
+
+@pytest.mark.parametrize("key", UNKNOWN_CONFIG_KEYS)
+def test_config_rejects_unknown_keys(key):
+    extra, where = UNKNOWN_CONFIG_KEYS[key]
+    with pytest.raises(ValueError, match=f"unknown {where} keys"):
+        SweepConfig.from_json({"alpha_re": 1.0, "beta_re": 0.0, **extra})
+
+
+@pytest.mark.parametrize("payload", [[], "{}", 5, None], ids=["list", "string", "number", "null"])
+def test_config_must_be_a_json_object(payload):
+    with pytest.raises(ValueError, match="must be a JSON object, got a"):
+        SweepConfig.from_json(payload)
 
 
 NAN = float("nan")
