@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -463,8 +464,7 @@ def dicke_witness(state) -> tuple:
 # One-stop report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TangleReport:
+class TangleReport(NamedTuple):
     """Every measure of one state along the damping sweep.
 
     The fields are the numeric columns of ``sweep.csv``, in the same order.
@@ -529,7 +529,7 @@ def compute_report(state, p, estimator_pair: str = "lb"):
         dicke_fidelity=fid, genuine4=genuine,
     )
     # Python scalars, so that a report reads and serializes the same from either route
-    values = {name: np.broadcast_to(value, lead).tolist() for name, value in columns.items()}
+    values = [np.broadcast_to(columns[name], lead).tolist() for name in TangleReport._fields]
     if not lead:
-        return TangleReport(**values)
-    return [TangleReport(**dict(zip(values, row))) for row in zip(*values.values())]
+        return TangleReport._make(values)
+    return list(map(TangleReport._make, zip(*values)))

@@ -9,13 +9,13 @@ every one of those formats.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 
@@ -68,7 +68,7 @@ __all__ = [
 ZERO_TOL = 1e-9  # exact zeros exist analytically; anything above this is live
 
 # The numeric columns are the report's fields; provenance follows them.
-CSV_COLUMNS = tuple(f.name for f in fields(TangleReport)) + (
+CSV_COLUMNS = TangleReport._fields + (
     "estimator_pair", "estimator_unbalanced", "tomography", "seed", "error")
 
 FIGURE_COLUMNS = {
@@ -176,9 +176,10 @@ class SweepConfig:
 
 # A report's cells: its 20 numbers (p to dicke_fidelity) at 12 significant digits,
 # then genuine4; a failed row keeps p and leaves the 20 measure cells empty.
-_NUMBER_CELLS = ",".join(["%.12g"] * (len(fields(TangleReport)) - 1))
-_FAILED_CELLS = "%.12g" + "," * (len(fields(TangleReport)) - 1)
-_BOOL_CELL = {False: "false", True: "true"}
+_MEASURES = len(TangleReport._fields) - 1
+_NUMBER_CELLS = ",".join(["%.12g"] * _MEASURES)
+_FAILED_CELLS = "%.12g" + "," * _MEASURES
+_BOOL_CELL = {False: "false", True: "true"}  # also the JSON literals
 
 
 @dataclass(frozen=True)
@@ -196,31 +197,29 @@ class SweepRow:
     def to_record(self) -> dict:
         """Column name -> native value, in ``CSV_COLUMNS`` order; a failed row has ""
         in every measure cell."""
-        rec = dict.fromkeys(CSV_COLUMNS, "") if self.report is None else dict(vars(self.report))
-        rec.update(
-            p=self.p,
-            estimator_pair=self.estimator_pair,
-            estimator_unbalanced=self.estimator_unbalanced,
-            tomography=self.tomography,
-            seed="" if self.seed is None else self.seed,
-            error=self.error or "",
-        )
+        rec = dict.fromkeys(CSV_COLUMNS, "") if self.report is None else self.report._asdict()
+        rec.update(p=self.p, estimator_pair=self.estimator_pair,
+                   estimator_unbalanced=self.estimator_unbalanced, tomography=self.tomography,
+                   seed="" if self.seed is None else self.seed, error=self.error or "")
         return rec
 
     @cached_property
     def cells(self) -> tuple[str, ...]:
-        """The row's ``CSV_COLUMNS`` cells, built once; every CSV artifact is cut from
-        these strings.  The numbers take one format per row, and a failed row gets its
-        empty measure cells from the same format."""
+        """The row's ``CSV_COLUMNS`` cells as written, built once; every CSV artifact is
+        cut from these strings.  The report's numbers take one format per row, a failed
+        row gets its empty measure cells from the same format, and the error text is
+        quoted here, the one cell that can need it, as the excel CSV dialect quotes it."""
+        error = self.error or ""
+        if any(c in error for c in ',"\r\n'):
+            error = '"' + error.replace('"', '""') + '"'
         if self.report is None:
             measures = (_FAILED_CELLS % self.p).split(",")
         else:
-            _, *numbers, genuine4 = vars(self.report).values()
-            measures = (_NUMBER_CELLS % (self.p, *numbers)).split(",")
-            measures.append(_BOOL_CELL[genuine4])
+            measures = (_NUMBER_CELLS % self.report[:-1]).split(",")
+            measures.append(_BOOL_CELL[self.report.genuine4])
         return (*measures, self.estimator_pair, self.estimator_unbalanced,
                 _BOOL_CELL[self.tomography], "" if self.seed is None else str(self.seed),
-                self.error or "")
+                error)
 
 
 # Grid points per stacked pass.  A pass holds a few (rows, 16, 16) complex
@@ -249,15 +248,12 @@ def sweep(config: SweepConfig) -> list[SweepRow]:
     return rows
 
 
-def _provenance(config: SweepConfig, index: int) -> dict:
-    """The provenance fields of the row at sorted grid index ``index``, live or failed."""
+def _provenance(config: SweepConfig, first: int, count: int) -> tuple[tuple, list]:
+    """Provenance of ``count`` rows from sorted grid index ``first`` on, live or failed: their
+    shared estimator names and tomography flag, and each one's seed (None without tomography)."""
     mixed = config.tomography or config.initial.mixed_system is not None
-    return {
-        "estimator_pair": config.estimator if mixed else "pure",
-        "estimator_unbalanced": "qp" if mixed else "pure",
-        "tomography": config.tomography,
-        "seed": config.seed + index if config.tomography else None,
-    }
+    return ((config.estimator if mixed else "pure", "qp" if mixed else "pure", config.tomography),
+            [config.seed + first + k if config.tomography else None for k in range(count)])
 
 
 def _contained_row(config: SweepConfig, base, p: float, index: int) -> SweepRow:
@@ -265,23 +261,23 @@ def _contained_row(config: SweepConfig, base, p: float, index: int) -> SweepRow:
     try:
         return _stacked_rows(config, base, [p], index)[0]
     except Exception as exc:  # noqa: BLE001 - row-level containment is the contract
-        return SweepRow(p=float(p), report=None, error=f"{type(exc).__name__}: {exc}",
-                        **_provenance(config, index))
+        shared, (seed,) = _provenance(config, index, 1)
+        return SweepRow(float(p), None, *shared, seed, error=f"{type(exc).__name__}: {exc}")
 
 
 def _stacked_rows(config: SweepConfig, base, grid, first: int) -> list[SweepRow]:
     """Rows of consecutive grid points, the first at sorted index ``first``, from one
     stacked pass."""
     ps = np.array(grid, dtype=float)
-    cells = [_provenance(config, first + k) for k in range(len(grid))]
+    shared, seeds = _provenance(config, first, len(grid))
     states = evolve(base, ps, ps)
     if config.tomography:
         states = DensityMatrix(np.array([
-            mle_reconstruct(simulate_counts(mat, config.shots, row["seed"])).rho.entries
-            for mat, row in zip(as_matrix(states), cells)
+            mle_reconstruct(simulate_counts(mat, config.shots, seed)).rho.entries
+            for mat, seed in zip(as_matrix(states), seeds)
         ]))
     reports = compute_report(states, ps, estimator_pair=config.estimator)
-    return [SweepRow(p=p, report=report, **row) for p, report, row in zip(ps.tolist(), reports, cells)]
+    return [SweepRow(p, report, *shared, seed) for p, report, seed in zip(ps.tolist(), reports, seeds)]
 
 
 def find_threshold(series, kind: str) -> float | None:
@@ -330,21 +326,35 @@ _FIGURE_CELLS = {  # picks a figure's cells from a row's cells followed by WITNE
     for figure, columns in FIGURE_COLUMNS.items()
 }
 
-# sweep.json is json.dumps(records, indent=1), which runs the pure-Python encoder.
-# The records are flat, so one C-encoder call over the list with the item separator
-# of indent level 2 gives the same bytes once the record boundaries are re-indented:
-# "},\n  {" occurs only there, as an encoded string holds no raw newline.
-_RECORDS_ENCODER = json.JSONEncoder(separators=(",\n  ", ": "))
+# A sweep.json record as json.dumps(records, indent=1) lays it out, keys encoded once and
+# a %s slot per value; a failed row's template keeps p and the 5 provenance slots, and
+# has "" in its 20 measure slots.
+_JSON_RECORD = " {\n" + ",\n".join(f"  {encode_basestring_ascii(name)}: %s"
+                                   for name in CSV_COLUMNS) + "\n }"
+_JSON_FAILED = _JSON_RECORD % ("%s", *['""'] * _MEASURES, *["%s"] * 5)
+
+
+def _json_record(row: SweepRow) -> str:
+    """The text ``json.dumps`` gives ``row.to_record()`` in ``sweep.json``.  ``str`` of a finite
+    float is the ``float.__repr__`` that ``json.dumps`` writes; numbers that hold NaN or an
+    infinity go through ``json.dumps`` itself, for its ``NaN``, ``Infinity`` and ``-Infinity``."""
+    numbers = (row.p,) if row.report is None else row.report[:-1]
+    if not math.isfinite(sum(numbers)):
+        numbers = tuple(map(json.dumps, numbers))
+    provenance = (encode_basestring_ascii(row.estimator_pair),
+                  encode_basestring_ascii(row.estimator_unbalanced), _BOOL_CELL[row.tomography],
+                  '""' if row.seed is None else row.seed, encode_basestring_ascii(row.error or ""))
+    if row.report is None:
+        return _JSON_FAILED % (*numbers, *provenance)
+    return _JSON_RECORD % (*numbers, _BOOL_CELL[row.report.genuine4], *provenance)
 
 
 def _write_columns(path, columns, cells, what: str) -> None:
-    """CSV of a header and rows of formatted cells; wraps write failures with the path."""
+    """CSV of a header and rows of written cells, CRLF-ended; wraps write failures with the path."""
     path = Path(path)
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            writer.writerows(cells)
+            fh.write("\r\n".join(map(",".join, (columns, *cells))) + "\r\n")
     except OSError as exc:
         raise OSError(f"cannot write {what} to {path}: {exc}") from exc
 
@@ -368,37 +378,27 @@ def rows_to_json(rows) -> list[dict]:
     return [row.to_record() for row in rows]
 
 
-def _indented_json(records) -> str:
-    """``json.dumps(records, indent=1)`` for a list of flat records, on the C encoder."""
-    if not records:
-        return "[]"
-    body = _RECORDS_ENCODER.encode(records)[2:-2].replace("},\n  {", "\n },\n {\n  ")
-    return "[\n {\n  " + body + "\n }\n]"
-
-
 def write_manifest(config: SweepConfig, out_dir) -> None:
     import platform
 
     manifest = {
         "config_sha256": hashlib.sha256(config.canonical_json().encode()).hexdigest(),
         "seed": config.seed,
-        "versions": {
-            "entredist": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        },
+        "versions": {"entredist": __version__, "numpy": np.__version__,
+                     "python": platform.python_version()},
     }
     Path(out_dir, "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
 
 
 def write_sweep(rows, config: SweepConfig, out_dir) -> None:
-    """Every sweep artifact in ``out_dir``: sweep.csv, fig2-4.csv, sweep.json,
-    thresholds.json and manifest.json."""
+    """Every sweep artifact in ``out_dir``: sweep.csv, fig2-4.csv, sweep.json (the text of
+    ``json.dumps(rows_to_json(rows), indent=1)``), thresholds.json and manifest.json."""
     out = Path(out_dir)
     emit_csv(rows, out / "sweep.csv")
     for figure in FIGURE_COLUMNS:
         emit_plotdata(rows, figure, out / f"{figure}.csv")
-    (out / "sweep.json").write_text(_indented_json(rows_to_json(rows)))
+    records = ",\n".join(map(_json_record, rows))
+    (out / "sweep.json").write_text(f"[\n{records}\n]" if rows else "[]")
     (out / "thresholds.json").write_text(json.dumps(thresholds(rows), indent=1))
     write_manifest(config, out)
 

@@ -6,13 +6,17 @@ is estimated by brute-force minimization over randomly sampled ensemble
 decompositions, the tomography setting kets are built one ``np.kron`` at a
 time, the Born map goes through the dense frame of the 256 projectors built
 from them, the Born system is solved by least squares, sweep records are
-encoded by ``json.dumps`` with its own indentation, the Wootters spin flip
+encoded by ``json.dumps`` with its own indentation and sweep CSVs by
+``csv.writer``, the Wootters spin flip
 is the matrix product with sigma_y x sigma_y, and a partial trace permutes the
 matrix's own tensor axes.
 """
 
+import csv
+import io
 import itertools
 import json
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -60,6 +64,32 @@ def damped_family_row(alpha, beta, p1, p2) -> dict:
         "tau_eff_s1e1": 0.0, "tau_eff_s2e2": 0.0,
         "dicke_fidelity": (alpha + beta * (c1 + s1) * (c2 + s2)) ** 2 / 6.0,
     }
+
+
+def mixed_fixture_row(alpha, beta, purity, p) -> dict:
+    """The S1S2 and E1E2 columns of ``mixed_system_with_purity(alpha, beta, purity)`` damped
+    at p on both pairs, for real alpha, beta.
+
+    The fixture is v|psi><psi| + (1 - v) I/4 with v = sqrt((4P - 1)/3); amplitude damping
+    keeps both pair marginals X-shaped, so with q = (1 - v)/4 the signed concurrences are
+    2 (1 - p)(v alpha beta - q - (v beta^2 + q) p) and
+    2 p (v alpha beta - q - (v beta^2 + q)(1 - p)).
+    """
+    v = math.sqrt((4 * purity - 1) / 3)
+    q = (1 - v) / 4
+    gamma_ss = 2 * (1 - p) * (v * alpha * beta - q - (v * beta ** 2 + q) * p)
+    gamma_ee = 2 * p * (v * alpha * beta - q - (v * beta ** 2 + q) * (1 - p))
+    return {"gamma_s1s2": gamma_ss, "gamma_e1e2": gamma_ee,
+            "c2_s1s2": max(0.0, gamma_ss) ** 2, "c2_e1e2": max(0.0, gamma_ee) ** 2}
+
+
+def mixed_fixture_thresholds(alpha, beta, purity) -> dict:
+    """Where ``mixed_fixture_row``'s gamma_s1s2 dies and gamma_e1e2 is born:
+    p_ESD = (v alpha beta - q)/(v beta^2 + q) and p_ESB = 1 - p_ESD."""
+    v = math.sqrt((4 * purity - 1) / 3)
+    q = (1 - v) / 4
+    esd = (v * alpha * beta - q) / (v * beta ** 2 + q)
+    return {"esd": esd, "esb": 1 - esd}
 
 
 def xstate_concurrence(rho: np.ndarray) -> float:
@@ -196,6 +226,21 @@ def lstsq_born_solution(freqs, projectors):
 def indented_json(records) -> str:
     """The reference ``sweep.json`` text: the standard library's indented encoder."""
     return json.dumps(records, indent=1)
+
+
+def csv_text(columns, records) -> str:
+    """The reference text of a sweep CSV: the standard library's excel writer over the
+    records' ``columns``, floats at 12 significant digits and booleans as JSON writes them."""
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return "%.12g" % value if isinstance(value, float) else str(value)
+
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(columns)
+    writer.writerows([cell(record[name]) for name in columns] for record in records)
+    return buffer.getvalue()
 
 
 SY_SY = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex)

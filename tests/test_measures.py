@@ -719,7 +719,7 @@ def test_stacked_engine_equals_per_state_calls(case):
     assert len(reports) == steps
     for p, state, report in zip(grid, states, reports):
         single = compute_report(state, p, estimator_pair=estimator)
-        for name, value in vars(single).items():
+        for name, value in single._asdict().items():
             assert getattr(report, name) == value, (p, name)
 
     for ab in ((0, 1), (2, 3), (0, 3)):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from functools import cached_property
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 import oracles
 from conftest import ALPHA, BETA, INITIAL_TANGLE, P_ESB, P_ESD, UNKNOWN_CONFIG_KEYS
 from entredist.channels import InitialSpec, evolve, initial_state, mixed_system_with_purity
-from entredist.measures import compute_report
+from entredist.measures import TangleReport, compute_report
 from entredist.qcore import DensityMatrix, PureState
 from entredist.pipeline import (
     CSV_COLUMNS,
@@ -256,26 +257,44 @@ def _artifact_rows(kind, monkeypatch):
         # an error text with a quote, a backslash, a newline and the record boundary
         # of the indent=1 layout must still encode as the reference does
         _fail_evolve_at_half(monkeypatch, 'synthetic "failure" \\ at\n},\n  {"p": 0.5')
+    if kind == "failed-csv":
+        # a comma, a lone carriage return and edge spaces: the CSV quoting cases
+        _fail_evolve_at_half(monkeypatch, " synthetic, failure\rat p = 0.5 ")
     return sweep(config), config
 
 
+def _assert_reference_artifacts(rows, out):
+    """sweep.json and the four CSVs in ``out`` are byte-equal to the reference encoders'
+    text for ``rows``."""
+    records = rows_to_json(rows)
+    assert (out / "sweep.json").read_bytes() == oracles.indented_json(records).encode()
+    assert (out / "sweep.csv").read_bytes() == oracles.csv_text(CSV_COLUMNS, records).encode()
+    figure_records = [dict(record, witness_threshold=2 / 3) for record in records]
+    for figure, columns in FIGURE_COLUMNS.items():
+        want = oracles.csv_text(columns, figure_records).encode()
+        assert (out / f"{figure}.csv").read_bytes() == want, figure
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.parametrize("kind", ["pure", "mixed", "tomography", "failed", "empty"])
+@pytest.mark.parametrize("kind", ["pure", "mixed", "tomography", "failed", "failed-csv", "empty"])
 def test_sweep_artifacts_match_the_reference_encodings(monkeypatch, tmp_path, kind):
     rows, config = _artifact_rows(kind, monkeypatch)
-    assert sum(r.error is not None for r in rows) == (kind == "failed")
+    assert sum(r.error is not None for r in rows) == kind.startswith("failed")
     write_sweep(rows, config, tmp_path)
-    assert (tmp_path / "sweep.json").read_text() == oracles.indented_json(rows_to_json(rows))
+    _assert_reference_artifacts(rows, tmp_path)
 
-    with open(tmp_path / "sweep.csv", newline="") as fh:
-        header, *cells = list(csv.reader(fh))
-    assert len(cells) == len(rows)
-    for figure, columns in FIGURE_COLUMNS.items():
-        with open(tmp_path / f"{figure}.csv", newline="") as fh:
-            assert next(csv.reader(fh)) == list(columns)
-            expected = [[row[header.index(name)] if name in header else f"{2 / 3:.12g}"
-                         for name in columns] for row in cells]
-            assert list(csv.reader(fh)) == expected, figure
+
+def test_non_finite_and_signed_zero_cells_match_the_reference_encodings(tmp_path):
+    # NaN and the infinities are where json.dumps departs from repr, and -0.0 keeps its sign
+    numbers = [0.25, math.nan, math.inf, -math.inf, -0.0, 1e-5, 1e16, 0.1, 2 / 3, 1e-300,
+               -1.5e-12, 123456789.123, 0.0, 1.0, -2.0, 5e-324, 1.7976931348623157e308,
+               0.3, math.nan, 7.0]
+    report = TangleReport._make([*numbers, True])
+    rows = [SweepRow(0.25, report, "qp", "qp", True, 7),
+            SweepRow(0.5, report._replace(p=0.5, c2_e1e2=0.5, genuine4=False), "lb", "qp", True, 8),
+            SweepRow(0.75, None, "qp", "qp", True, 9, error="ValueError: lone\rreturn")]
+    write_sweep(rows, pure_config(steps=3), tmp_path)
+    _assert_reference_artifacts(rows, tmp_path)
 
 
 def test_write_sweep_builds_each_rows_cells_once(monkeypatch, tmp_path):
@@ -490,6 +509,25 @@ def test_mixed_fixture_thresholds_match_lab_window():
     assert esd < P_ESD and esb > P_ESB
     assert esd == pytest.approx(0.34, abs=0.04)
     assert esb == pytest.approx(0.67, abs=0.05)
+
+
+@pytest.mark.parametrize("purity", [0.82, 0.9])
+@pytest.mark.parametrize("estimator", ["lb", "qp"])
+def test_mixed_fixture_sweep_matches_the_closed_forms(tmp_path, purity, estimator):
+    initial = InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, purity))
+    config = SweepConfig(initial=initial, p_values=tuple(np.linspace(0.0, 1.0, 101)),
+                         estimator=estimator)
+    rows = sweep(config)
+    for row in rows:
+        for column, want in oracles.mixed_fixture_row(ALPHA, BETA, purity, row.p).items():
+            assert getattr(row.report, column) == pytest.approx(want, abs=1e-12), (row.p, column)
+    # the gamma_* crossings sit within interpolation error of the closed-form thresholds
+    # (measured 4.9e-6 at P = 0.82 and 2.1e-5 at P = 0.9)
+    write_sweep(rows, config, tmp_path)
+    found = json.loads((tmp_path / "thresholds.json").read_text())
+    want = oracles.mixed_fixture_thresholds(ALPHA, BETA, purity)
+    tol = {0.82: 1e-5, 0.9: 5e-5}[purity]
+    assert found == pytest.approx(want, abs=tol)
 
 
 def test_write_manifest(tmp_path):
