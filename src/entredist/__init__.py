@@ -10,10 +10,9 @@ sudden death and sudden birth of pairwise entanglement.
 __version__ = "0.1.0"
 
 from .qcore import (  # noqa: E402,F401
-    ALL_SUBSYSTEMS,
+    SUBSYSTEMS,
     DensityMatrix,
     PureState,
-    Subsystem,
     basis_index,
     basis_state,
     eig_hermitian,

@@ -25,14 +25,14 @@ def _load_config(args) -> SweepConfig:
     try:
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"error: cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     flags = {"out_dir": args.out, "seed": args.seed, "shots": args.shots,
              "estimator": getattr(args, "estimator", None)}
     try:
         config = SweepConfig.from_json(payload, base_dir=path.parent)
         return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
     except (ValueError, KeyError, TypeError) as exc:
-        raise SystemExit(f"error: invalid config: {exc}") from exc
+        raise ValueError(f"invalid config: {exc}") from exc
 
 
 def _cmd_sweep(args) -> int:
@@ -69,12 +69,10 @@ def _uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def _cmd_tomo_roundtrip(args) -> int:
     config = _load_config(args)
-    if not 0.0 <= args.p <= 1.0:
-        raise SystemExit(f"error: --p must lie in [0, 1], got {args.p}")
+    state = evolve(initial_state(config.initial), args.p, args.p)  # checks p before any write
     out = Path(config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
 
-    state = evolve(initial_state(config.initial), args.p, args.p)
     rho_true = state if isinstance(state, DensityMatrix) else state.density()
     counts = simulate_counts(rho_true, config.shots, config.seed)
     result = mle_reconstruct(counts)
@@ -168,11 +166,6 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 1
-        return exc.code or 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

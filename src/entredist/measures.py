@@ -26,9 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .qcore import (
+    SUBSYSTEMS,
     PureState,
-    Subsystem,
-    ALL_SUBSYSTEMS,
     as_matrix,
     cut_register,
     eig_hermitian,
@@ -94,12 +93,12 @@ class DecompositionError(RuntimeError):
     """The six-term residual decomposition failed its consistency check."""
 
 
-def _clamp_small_negative(values, atol: float, context: str):
-    """``values`` with those in [-atol, 0) set to 0.0; each one below -atol warns once."""
+def _clamp_small_negative(values, context: str):
+    """``values`` with those in [-CLAMP_ATOL, 0) set to 0.0; each one below warns once."""
     values = np.asarray(values)
-    for value in values[values < -atol].tolist():
+    for value in values[values < -CLAMP_ATOL].tolist():
         warnings.warn(f"{context} = {value:.3e} is negative beyond noise", EstimatorWarning)
-    return native(np.where((values < 0.0) & (values >= -atol), 0.0, values))
+    return native(np.where((values < 0.0) & (values >= -CLAMP_ATOL), 0.0, values))
 
 
 def _positive(values):
@@ -233,8 +232,7 @@ def three_tangle(psi3: PureState):
     one_to_rest = 4.0 * np.linalg.det(vector_marginal(vec, (0,))).real
     c_ij = concurrence(vector_marginal(vec, (0, 1)))
     c_ik = concurrence(vector_marginal(vec, (0, 2)))
-    return _clamp_small_negative(one_to_rest - np.square(c_ij) - np.square(c_ik), 1e-7,
-                                 "three-tangle")
+    return _clamp_small_negative(one_to_rest - np.square(c_ij) - np.square(c_ik), "three-tangle")
 
 
 def compress_pair_to_qubit(psi: PureState, pair) -> PureState:
@@ -294,13 +292,13 @@ _PAIR_CUT_TERMS = ((1, 2), (0, 3), (0, 1), (2, 3))
 # Effective-qubit three-tangle columns and the pair each compresses to one qubit.
 _EFFECTIVE = {"tau_eff_s1e1": ("S2", "E2"), "tau_eff_s2e2": ("S1", "E1")}
 
-# Anchored three-tangle columns, their reference qubit and the effective-tangle
-# column that compresses the same pair.
+# Anchored three-tangle columns, the slot of their reference qubit and the
+# effective-tangle column that compresses the same pair.
 _ANCHORED = (
-    ("tau_u_s1_s2e2", Subsystem.S1, "tau_eff_s1e1"),
-    ("tau_u_s2_s1e1", Subsystem.S2, "tau_eff_s2e2"),
-    ("tau_u_e1_s2e2", Subsystem.E1, "tau_eff_s1e1"),
-    ("tau_u_e2_s1e1", Subsystem.E2, "tau_eff_s2e2"),
+    ("tau_u_s1_s2e2", 0, "tau_eff_s1e1"),
+    ("tau_u_s2_s1e1", 1, "tau_eff_s2e2"),
+    ("tau_u_e1_s2e2", 2, "tau_eff_s1e1"),
+    ("tau_u_e2_s1e1", 3, "tau_eff_s2e2"),
 )
 
 
@@ -344,9 +342,8 @@ def _residual_pair(tangle, marginals, c2):
     return tangle - sum(c2[ab] for ab in _PAIR_CUT_TERMS)
 
 
-def _residual_single(state, i: Subsystem, c2):
-    big = _cut_tangle(state, (int(i),), "qp")
-    return big - sum(c2[tuple(sorted((i, j)))] for j in ALL_SUBSYSTEMS if j != i)
+def _residual_single(state, i: int, c2):
+    return _cut_tangle(state, (i,), "qp") - sum(c2[min(i, j), max(i, j)] for j in range(4) if j != i)
 
 
 def residual_pair_cut(state) -> float:
@@ -364,14 +361,13 @@ def _effective_tangles(psi: PureState) -> dict:
     return {col: effective_three_tangle(psi, pair) for col, pair in _EFFECTIVE.items()}
 
 
-def _anchored_tangles(residuals: dict, effective: dict) -> dict[str, tuple[float, float]]:
+def _anchored_tangles(residuals: list, effective: dict) -> dict[str, tuple[float, float]]:
     """Every anchored three-tangle column, raw and noise-clamped: the residual of its
-    reference qubit less its grouping's effective three-tangle."""
+    reference qubit (``residuals`` by slot) less its grouping's effective three-tangle."""
     anchored = {}
     for col, i, eff in _ANCHORED:
         raw = residuals[i] - effective[eff]
-        context = f"reduced three-tangle at {i.name}"
-        anchored[col] = raw, _clamp_small_negative(raw, CLAMP_ATOL, context)
+        anchored[col] = raw, _clamp_small_negative(raw, f"reduced three-tangle at {SUBSYSTEMS[i]}")
     return anchored
 
 
@@ -398,7 +394,7 @@ def decompose_pair_residual(psi: PureState) -> ResidualDecomposition:
     """
     marginals, _, c2 = _pair_table(_one_state(psi, "decompose_pair_residual"))
     effective = _effective_tangles(psi)
-    residuals = {i: _residual_single(psi, i, c2) for i in ALL_SUBSYSTEMS}
+    residuals = [_residual_single(psi, i, c2) for i in range(4)]
     anchored = _anchored_tangles(residuals, effective)
     half_sum = 0.5 * (sum(raw for raw, _ in anchored.values()) + sum(effective.values()))
     residual = _residual_pair(_cut_tangle(psi, PAIR_CUT, "lb"), marginals, c2)
@@ -430,7 +426,7 @@ def monogamy_slacks(state) -> MonogamyReport:
     dip below zero.
     """
     marginals, _, c2 = _pair_table(_one_state(state, "monogamy_slacks"))
-    one_vs_rest = {i.name: _residual_single(state, i, c2) for i in ALL_SUBSYSTEMS}
+    one_vs_rest = {name: _residual_single(state, i, c2) for i, name in enumerate(SUBSYSTEMS)}
     rank = _pair_cut_rank(marginals)
     if rank > 2:
         return MonogamyReport(one_vs_rest, None,
@@ -512,7 +508,7 @@ def compute_report(state, p, estimator_pair: str = "lb"):
     marginals, gamma, c2 = _pair_table(state)
     c2_pair_lb = _cut_tangle(state, PAIR_CUT, "lb")
     pair_cut = c2_pair_lb if estimator_pair == "lb" else _cut_tangle(state, PAIR_CUT, estimator_pair)
-    residuals = {i: _residual_single(state, i, c2) for i in ALL_SUBSYSTEMS}
+    residuals = [_residual_single(state, i, c2) for i in range(4)]
     if isinstance(state, PureState):
         effective = _effective_tangles(state)
     else:
@@ -523,7 +519,7 @@ def compute_report(state, p, estimator_pair: str = "lb"):
         gamma_s1s2=gamma[0, 1], gamma_e1e2=gamma[2, 3],
         c2_pair_lb=c2_pair_lb,
         residual_pair=_residual_pair(pair_cut, marginals, c2),
-        **{f"residual_{i.name.lower()}": value for i, value in residuals.items()},
+        **{f"residual_{name.lower()}": value for name, value in zip(SUBSYSTEMS, residuals)},
         **{col: tau for col, (_, tau) in _anchored_tangles(residuals, effective).items()},
         **effective,
         dicke_fidelity=fid, genuine4=genuine,

@@ -103,11 +103,15 @@ class SweepConfig:
             raise ValueError("grid must be finite and lie within [0, 1]")
         if self.estimator not in ("lb", "qp"):
             raise ValueError(f"estimator must be 'lb' or 'qp', got {self.estimator!r}")
-        if self.shots < 1:
+        if not isinstance(self.tomography, bool):
+            raise ValueError(f"tomography must be True or False, got {self.tomography!r}")
+        shots, seed = _json_int(self.shots, "shots"), _json_int(self.seed, "seed")
+        if shots < 1:
             raise ValueError("shots must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        object.__setattr__(self, "p_values", ps)
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        for name, value in (("p_values", ps), ("shots", shots), ("seed", seed)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_json(cls, payload: dict, base_dir=".") -> "SweepConfig":
@@ -156,7 +160,7 @@ class SweepConfig:
         return cls(initial=initial, p_values=tuple(ps), estimator=payload.get("estimator", "lb"),
                    tomography=enabled,
                    shots=_json_int(tomo.get("shots", 100_000), "tomography.shots"),
-                   seed=_json_int(payload.get("seed", 0), "seed"), out_dir=out_dir)
+                   seed=payload.get("seed", 0), out_dir=out_dir)
 
     def canonical_json(self) -> str:
         payload = {

@@ -4,7 +4,8 @@ Everything works on explicit numpy arrays of dimension at most 16 (four
 qubits).  The register layout is fixed once and for all: the two system
 qubits S1, S2 come first, then their path environments E1, E2.  Slot 0
 carries the most significant bit of the basis index, so the ket |1100>
-lives at vector index 12.
+lives at vector index 12.  A subsystem is its slot, named in :data:`SUBSYSTEMS`,
+and :func:`resolve_slots` alone reads a label (a name or a slot) into a slot.
 
 States and kernels take an optional leading batch axis: a stack of N states
 is one state object whose arrays have shape ``(N, ...)``, and a kernel
@@ -17,16 +18,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from enum import IntEnum
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
-    "Subsystem",
-    "ALL_SUBSYSTEMS",
-    "subsystem",
+    "SUBSYSTEMS",
     "resolve_slots",
     "PureState",
     "DensityMatrix",
@@ -54,32 +52,24 @@ TRACE_ATOL = 1e-9
 EIGENVALUE_ATOL = 1e-9
 
 
-class Subsystem(IntEnum):
-    """Register slot of each subsystem; slot 0 is the most significant bit."""
-
-    S1 = 0
-    S2 = 1
-    E1 = 2
-    E2 = 3
-
-
-ALL_SUBSYSTEMS = (Subsystem.S1, Subsystem.S2, Subsystem.E1, Subsystem.E2)
-
-
-def subsystem(label) -> Subsystem:
-    """The subsystem a label names: a :class:`Subsystem`, its name ("S1") or its slot index."""
-    if isinstance(label, str) and label not in Subsystem.__members__:
-        raise ValueError(f"unknown subsystem {label!r}")
-    return Subsystem[label] if isinstance(label, str) else Subsystem(int(label))
+# The name of each register slot, in slot order; slot 0 is the most significant bit.
+SUBSYSTEMS = ("S1", "S2", "E1", "E2")
 
 
 def resolve_slots(labels, n_qubits: int) -> tuple[int, ...]:
-    """Normalize labels/slot indices to a sorted tuple of register slots."""
-    if isinstance(labels, (Subsystem, int, str)):
+    """Labels as a sorted tuple of register slots: the one rule that reads a label.
+
+    A label is a name in :data:`SUBSYSTEMS` or an integer slot index (Python or
+    numpy, not a boolean), and a lone label may be given bare.  Any other label, a
+    slot outside the register, an empty or a repeated selection raises ``ValueError``.
+    """
+    if isinstance(labels, str) or not np.iterable(labels):
         labels = (labels,)
     slots = []
     for lab in labels:
-        slot = int(subsystem(lab))
+        named = isinstance(lab, str) and lab in SUBSYSTEMS
+        integral = isinstance(lab, (int, np.integer)) and not isinstance(lab, bool)
+        slot = SUBSYSTEMS.index(lab) if named else int(lab) if integral else -1
         if not 0 <= slot < n_qubits:
             raise ValueError(f"unknown subsystem {lab!r} for {n_qubits} qubits")
         slots.append(slot)

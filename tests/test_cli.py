@@ -71,6 +71,14 @@ def test_tomo_roundtrip_small(tmp_path, config_path, capsys):
     assert len(counts) == 257
 
 
+@pytest.mark.parametrize("p", ["1.5", "-0.1", "nan"])
+def test_tomo_roundtrip_rejects_p_outside_unit_interval(tmp_path, config_path, capsys, p):
+    out = tmp_path / "tomo"
+    assert main(["tomo-roundtrip", "--config", str(config_path), "--out", str(out), "--p", p]) == 1
+    assert f"error: damping strength p={float(p)} outside [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tomo_roundtrip_is_byte_deterministic(tmp_path, config_path):
     argv = ["tomo-roundtrip", "--config", str(config_path), "--p", "0.25",
             "--shots", "100000", "--seed", "5"]

@@ -44,9 +44,9 @@ from entredist.channels import (
     random_family_state,
 )
 from entredist.qcore import (
+    SUBSYSTEMS,
     DensityMatrix,
     PureState,
-    Subsystem,
     basis_state,
     eig_hermitian,
     fidelity_pure,
@@ -427,8 +427,8 @@ def test_residual_pair_cut_warns_on_high_rank(rng):
 def test_residual_single_qubit_cases():
     # a qubit's residual is its one-vs-rest monogamy slack
     assert monogamy_slacks(basis_state("0101")).one_vs_rest["S1"] == pytest.approx(0.0, abs=1e-12)
-    for i in Subsystem:
-        assert monogamy_slacks(GHZ4).one_vs_rest[i.name] == pytest.approx(1.0, abs=1e-9)
+    for name in SUBSYSTEMS:
+        assert monogamy_slacks(GHZ4).one_vs_rest[name] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_residual_single_equals_reduced_when_effective_vanishes():

@@ -484,6 +484,19 @@ def test_config_must_be_a_json_object(payload):
         SweepConfig.from_json(payload)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", 1.5, "seed must be an integer"),
+    ("shots", 2.5, "shots must be an integer"),
+    ("tomography", "yes", "tomography must be True or False"),
+])
+def test_sweep_config_checks_its_own_field_types(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        pure_config(steps=3, **{field: value})
+    config = pure_config(steps=3, seed=2.0, shots=1000.0)
+    assert (type(config.seed), type(config.shots)) == (int, int)
+    assert '"seed": 2,' in config.canonical_json()
+
+
 NAN = float("nan")
 
 

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import BETA, family_state
+from entredist.measures import tangle_pure
 from entredist.qcore import (
     DensityMatrix,
     PureState,
@@ -19,6 +20,7 @@ from entredist.qcore import (
     numerical_rank,
     partial_trace,
     purity,
+    resolve_slots,
     state_from_json,
     state_to_json,
 )
@@ -70,6 +72,25 @@ def test_partial_trace_rejects_bad_labels():
         partial_trace(BELL, ())
     with pytest.raises(ValueError):
         partial_trace(BELL, (0, 5))
+
+
+@pytest.mark.parametrize("read", ["resolve_slots", "tangle_pure"])
+@pytest.mark.parametrize("labels, n_qubits", [
+    (1.7, 4), ((1.7,), 4), (True, 4), ((np.bool_(True),), 4), (None, 4), ("s1", 4), ((0, 5), 2),
+], ids=["float", "float-in-tuple", "bool", "numpy-bool", "None", "lowercase-name", "outside-register"])
+def test_a_label_is_a_name_or_an_integer_slot(read, labels, n_qubits):
+    state = BELL if n_qubits == 2 else family_state(0.3)
+    with pytest.raises(ValueError, match=rf"unknown subsystem .* for {n_qubits} qubits"):
+        resolve_slots(labels, n_qubits) if read == "resolve_slots" else tangle_pure(state, labels)
+
+
+@pytest.mark.parametrize("labels, slots", [
+    (np.int64(2), (2,)), (("E1",), (2,)), ("E1", (2,)), ((np.int32(3), "S1"), (0, 3)),
+], ids=["numpy-int", "name-in-tuple", "bare-name", "mixed"])
+def test_names_and_integer_slots_resolve_alike(labels, slots):
+    assert resolve_slots(labels, 4) == slots
+    psi = family_state(0.3)
+    assert tangle_pure(psi, labels) == tangle_pure(psi, slots)
 
 
 def test_eig_hermitian_identity_and_sigma_z():
