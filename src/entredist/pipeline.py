@@ -96,6 +96,10 @@ class SweepConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.initial, InitialSpec):
+            raise ValueError(f"initial must be an InitialSpec, got {self.initial!r}")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string or None, got {self.out_dir!r}")
         ps = tuple(float(p) for p in self.p_values)
         if len(ps) < 2:
             raise ValueError("grid needs at least 2 points")
@@ -143,9 +147,6 @@ class SweepConfig:
         enabled = tomo.get("enabled", False)
         if not isinstance(enabled, bool):
             raise ValueError(f"tomography.enabled must be true or false, got {enabled!r}")
-        out_dir = payload.get("out_dir")
-        if out_dir is not None and not isinstance(out_dir, str):
-            raise ValueError(f"out_dir must be a JSON string, got {out_dir!r}")
         if "mixed_system_file" in payload:
             given = [k for k in _CONFIG_KEYS[:4] if k in payload]
             if given:
@@ -160,7 +161,7 @@ class SweepConfig:
         return cls(initial=initial, p_values=tuple(ps), estimator=payload.get("estimator", "lb"),
                    tomography=enabled,
                    shots=_json_int(tomo.get("shots", 100_000), "tomography.shots"),
-                   seed=payload.get("seed", 0), out_dir=out_dir)
+                   seed=payload.get("seed", 0), out_dir=payload.get("out_dir"))
 
     def canonical_json(self) -> str:
         payload = {

@@ -30,11 +30,8 @@ from entredist.pipeline import (
 
 
 def pure_config(steps=101, **kwargs):
-    return SweepConfig(
-        initial=InitialSpec(alpha=ALPHA, beta=BETA),
-        p_values=tuple(np.linspace(0.0, 1.0, steps)),
-        **kwargs,
-    )
+    return SweepConfig(**{"initial": InitialSpec(alpha=ALPHA, beta=BETA),
+                          "p_values": tuple(np.linspace(0.0, 1.0, steps)), **kwargs})
 
 
 @pytest.fixture(scope="module")
@@ -488,6 +485,8 @@ def test_config_must_be_a_json_object(payload):
     ("seed", 1.5, "seed must be an integer"),
     ("shots", 2.5, "shots must be an integer"),
     ("tomography", "yes", "tomography must be True or False"),
+    ("initial", "x", "initial must be an InitialSpec, got 'x'"),
+    ("out_dir", 5, "out_dir must be a string or None, got 5"),
 ])
 def test_sweep_config_checks_its_own_field_types(field, value, message):
     with pytest.raises(ValueError, match=message):

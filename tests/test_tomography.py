@@ -363,6 +363,101 @@ def test_mle_accepts_zero_tolerance_and_zero_iterations():
     assert mle_reconstruct(counts, max_iter=3, tol=0.0).iterations <= 3
 
 
+def test_mle_iterations_stay_low_over_the_guard_sets(guard_count_sets):
+    # projected gradient alone took a median of 72 iterations here; the polish
+    # replaces its slow tail with a few Newton steps, which count as iterations
+    assert np.median([mle_reconstruct(counts).iterations for counts in guard_count_sets]) <= 36
+
+
+def test_mle_certifies_the_count_set_where_projected_gradient_stalls():
+    # projected gradient alone stops here after 239 iterations at a gap of 1.076 nats
+    counts = simulate_counts(family_state(0.75).density(), 10**6, seed=3071)
+    result = mle_reconstruct(counts)
+    assert result.converged and result.gap_bound <= 1.0
+
+
+@pytest.mark.parametrize("seed", [3006, 3028])
+def test_mle_polish_grows_the_support(monkeypatch, seed):
+    # the polish starts on two eigenvalues and stalls until a third joins
+    sizes = []
+    derivatives = tomography._factor_derivatives
+    monkeypatch.setattr(tomography, "_factor_derivatives",
+                        lambda u, s, *rest: sizes.append(s.size) or derivatives(u, s, *rest))
+    result = mle_reconstruct(simulate_counts(family_state(0.75).density(), 10**6, seed=seed))
+    assert result.converged and result.gap_bound <= 1.0
+    assert sizes[0] == 2 and sizes[-1] == 3
+
+
+@pytest.mark.filterwarnings("ignore:maximum-likelihood")
+@pytest.mark.parametrize("newton_steps", [0, 2], ids=["at-the-switch", "after-two-steps"])
+def test_mle_resumes_projected_gradient_from_the_polished_state(monkeypatch, newton_steps):
+    counts = simulate_counts(family_state(0.75).density(), 10**6, seed=3011)
+    calls = []
+    solve = tomography._newton_step
+
+    def failing(neg_hessian, grad):
+        calls.append(1)
+        if len(calls) > newton_steps:
+            raise np.linalg.LinAlgError("not positive definite")
+        return solve(neg_hessian, grad)
+
+    monkeypatch.setattr(tomography, "_newton_step", failing)
+    # the state the polish reached before its solve failed: the projected-gradient
+    # iterate at the switch, plus the Newton steps taken from it
+    switch = next(n for n in range(100) if mle_reconstruct(counts, max_iter=n).gap_bound
+                  <= tomography._POLISH_GAP)
+    calls.clear()
+    reached = mle_reconstruct(counts, max_iter=switch + newton_steps)
+    assert len(calls) == newton_steps and reached.iterations == switch + newton_steps
+    calls.clear()
+    result = mle_reconstruct(counts)
+    assert calls and result.converged
+    assert result.log_likelihood >= reached.log_likelihood
+
+
+@pytest.mark.filterwarnings("ignore:maximum-likelihood")
+def test_mle_counts_newton_steps_against_max_iter(monkeypatch):
+    counts = simulate_counts(family_state(0.25).density(), 1000, seed=0)
+    calls = []
+    solve = tomography._newton_step
+    monkeypatch.setattr(tomography, "_newton_step",
+                        lambda neg_hessian, grad: calls.append(1) or solve(neg_hessian, grad))
+    result = mle_reconstruct(counts, max_iter=3, tol=0.0)
+    assert len(calls) == 1 and result.iterations == 3  # the third is a Newton step
+
+
+def test_factor_derivatives_match_finite_differences(rng):
+    # the polish's gradient J^T g and Hessian -J^T D J + curvature, on a random
+    # rank-3 factor, against central differences of log L along its parameters
+    counts = simulate_counts(family_state(0.3).density(), 10**5, seed=7)
+    hits = counts.counts.astype(float)
+    misses = counts.shots - hits
+    u = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))[0]
+    s = np.array([0.9, 0.4, 0.2]) / np.linalg.norm([0.9, 0.4, 0.2])
+    hermitian = tomography._hermitian_basis(s)
+    jac, g, d = tomography._factor_derivatives(u, s, hermitian, hits, misses)
+    factor = u[:, :3] * s
+    shifted = u.conj().T @ _born_adjoint(g) @ u - (g @ _born(factor @ factor.conj().T)) * np.eye(16)
+    hessian = -(jac.T * d) @ jac + tomography._factor_curvature(shifted, hermitian)
+    # no parameter moves along a gauge or scale direction, which would leave every probability fixed
+    assert jac.shape == (256, 32 * 3 - 9 - 1) and np.linalg.matrix_rank(jac) == jac.shape[1]
+
+    def log_l(theta):
+        a = factor + u @ tomography._factor_move(theta, hermitian)
+        probs = _born(a @ a.conj().T / np.vdot(a, a).real)
+        return hits @ np.log(probs) + misses @ np.log1p(-probs)
+
+    steps = np.eye(jac.shape[1])[[0, 40, 77, 79, 85]]  # off the support, off-diagonal, diagonal
+    h = 1e-4
+    for e in steps:
+        slope = (log_l(h * e) - log_l(-h * e)) / (2 * h)
+        assert slope == pytest.approx(jac.T @ g @ e, rel=1e-6)
+        for f in steps:
+            second = (log_l(h * (e + f)) - log_l(h * (e - f))
+                      - log_l(h * (f - e)) + log_l(-h * (e + f))) / (4 * h * h)
+            assert second == pytest.approx(e @ hessian @ f, abs=1e-5 * np.abs(hessian).max())
+
+
 def permute_qubits(order):
     """Setting ids and a 16x16 matrix mapped to their images when new qubit k is
     old qubit ``order[k]`` (qubit 0 = S1, the most significant digit or bit)."""
