@@ -18,7 +18,6 @@ from .qcore import (  # noqa: E402,F401
     eig_hermitian,
     fidelity_pure,
     haar_state,
-    kron,
     numerical_rank,
     partial_trace,
     purity,

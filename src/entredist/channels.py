@@ -20,7 +20,6 @@ from .qcore import (
     DensityMatrix,
     PureState,
     _conjugated,
-    kron,
 )
 
 __all__ = [
@@ -87,7 +86,7 @@ def initial_state(spec: InitialSpec):
     env = np.zeros((4, 4), dtype=complex)
     env[0, 0] = 1.0
     # Register order is (S1,S2,E1,E2), so system (x) environment is a plain kron.
-    return DensityMatrix(kron(spec.mixed_system.entries, env))
+    return DensityMatrix(np.kron(spec.mixed_system.entries, env))
 
 
 def ad_unitary(p) -> np.ndarray:

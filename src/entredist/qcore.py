@@ -32,7 +32,6 @@ __all__ = [
     "basis_state",
     "basis_index",
     "haar_state",
-    "kron",
     "hermitize",
     "psd_sqrt",
     "partial_trace",
@@ -209,11 +208,6 @@ def haar_state(n_qubits: int, rng: np.random.Generator) -> PureState:
     return PureState(vec / np.linalg.norm(vec))
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor (Kronecker) product as a complex array."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
@@ -279,15 +273,12 @@ def state_marginal(state, keep: tuple[int, ...]) -> np.ndarray:
 def partial_trace(rho, keep) -> DensityMatrix:
     """Reduced density matrix over ``keep`` (subsystem labels or slot indices).
 
-    Accepts a :class:`DensityMatrix` or a :class:`PureState`; the kept slots
-    retain their register order and the result has unit trace.
+    Accepts a :class:`DensityMatrix` or a :class:`PureState`; the kept slots retain
+    their register order, and the result is a new validated state even if all are kept.
     """
     if not isinstance(rho, (PureState, DensityMatrix)):
         raise TypeError(f"expected a state object, got {type(rho).__name__}")
-    slots = resolve_slots(keep, rho.n_qubits)
-    if len(slots) < rho.n_qubits:
-        return DensityMatrix(state_marginal(rho, slots))
-    return rho if isinstance(rho, DensityMatrix) else rho.density()
+    return DensityMatrix(state_marginal(rho, resolve_slots(keep, rho.n_qubits)))
 
 
 def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:

@@ -6,10 +6,10 @@ are informationally complete.  ``SETTINGS`` and ``KETS`` hold the selectors and
 the product ket of every setting, indexed by setting id.  A count set
 (:class:`Counts`) is one integer array of binomial counts in setting-id order
 with a common shot number, validated once; states are reconstructed from it
-either by linear inversion or by a certified accelerated projected-gradient
-maximum-likelihood fit.  Both go through the factored Born map: the settings
-are products over the (S1,S2)|(E1,E2) halves, so every probability, gradient
-and exact inversion is a pair of 16x16 products with a two-qubit half map.
+either by linear inversion or by a certified maximum-likelihood fit: accelerated
+projected gradient, then Newton steps on the fit's low-rank factor.  Both go
+through the factored Born map: the settings are products over the (S1,S2)|(E1,E2)
+halves, so every probability, gradient and exact inversion is two 16x16 products.
 """
 
 from __future__ import annotations

@@ -415,6 +415,8 @@ def test_config_parsing_and_validation(tmp_path):
 
     with pytest.raises(ValueError, match="within"):
         SweepConfig.from_json({"alpha_re": 1.0, "beta_re": 0.0, "p_grid": [0.0, 1.5]})
+    with pytest.raises(ValueError, match="grid needs at least 2 points"):
+        SweepConfig.from_json({"alpha_re": 1.0, "beta_re": 0.0, "p_grid": [0.5]})
     with pytest.raises(ValueError, match="steps"):
         SweepConfig.from_json({"alpha_re": 1.0, "beta_re": 0.0,
                                "p_grid": {"steps": 1}})

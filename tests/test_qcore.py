@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import BETA, family_state
+from conftest import ALPHA, BETA, family_state
+from entredist.channels import InitialSpec, evolve, initial_state, mixed_system_with_purity
 from entredist.measures import tangle_pure
 from entredist.qcore import (
     DensityMatrix,
@@ -16,7 +17,6 @@ from entredist.qcore import (
     eig_hermitian,
     fidelity_pure,
     haar_state,
-    kron,
     numerical_rank,
     partial_trace,
     purity,
@@ -25,29 +25,7 @@ from entredist.qcore import (
     state_to_json,
 )
 
-SY = np.array([[0, -1j], [1j, 0]])
 BELL = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2))
-
-
-def test_kron_identity():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_projectors():
-    p0 = np.array([[1, 0], [0, 0]])
-    p1 = np.array([[0, 0], [0, 1]])
-    out = kron(p0, p1)
-    expected = np.zeros((4, 4))
-    expected[1, 1] = 1.0
-    assert np.array_equal(out, expected)
-
-
-def test_kron_sigma_y_pair_is_antidiagonal():
-    # expanded by hand: anti-diagonal (-1, 1, 1, -1)
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 3] = expected[3, 0] = -1.0
-    expected[1, 2] = expected[2, 1] = 1.0
-    assert np.abs(kron(SY, SY) - expected).max() < 1e-15
 
 
 def test_partial_trace_bell_marginal_is_maximally_mixed():
@@ -65,6 +43,19 @@ def test_partial_trace_family_pair_marginal_is_rank_two():
     w = rho.spectrum[0]
     assert w[2] < 1e-9
     assert numerical_rank(rho, 1e-7) == 2
+
+
+@pytest.mark.parametrize("keep", [(0, 1, 2, 3), ("E2", "E1", "S2", "S1"), ("S2", 3, "S1", "E1")],
+                         ids=["slot-order", "reversed-names", "mixed-labels"])
+def test_partial_trace_of_the_whole_register_is_the_state(keep):
+    # keeping every slot takes the same marginal route as any other selection
+    pure_stack = family_state(np.linspace(0.0, 1.0, 5))
+    mixed = evolve(initial_state(InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, 0.82))),
+                   0.3, 0.6)
+    for state, entries in [(pure_stack, pure_stack.density().entries), (mixed, mixed.entries)]:
+        whole = partial_trace(state, keep)
+        assert isinstance(whole, DensityMatrix) and whole is not state
+        assert np.array_equal(whole.entries, entries)
 
 
 def test_partial_trace_rejects_bad_labels():
