@@ -199,11 +199,12 @@ def tangle_quasipure(rho, part):
     slots = _side_a_slots(part, qubit_count(dim))
     w, v = w.reshape(-1, dim), v.reshape(-1, dim, dim)
     keep = w > 1e-13  # a prefix of each row, as w descends
-    # Eigenvectors as rows, amplitudes reordered so side A is the leading tensor factor.
-    vecs = cut_register(v.swapaxes(1, 2), slots).reshape(-1, dim, dim)
-    subnormed = np.sqrt(np.where(keep, w, 0.0))[:, :, None] * vecs
-
     kept = keep.sum(axis=1)
+    top = kept.max()  # no state needs the eigenvectors past the most any keeps
+    # Eigenvectors as rows, amplitudes reordered so side A is the leading tensor factor.
+    vecs = cut_register(v[:, :, :top].swapaxes(1, 2), slots).reshape(len(w), top, dim)
+    subnormed = np.sqrt(np.where(keep, w, 0.0)[:, :top])[:, :, None] * vecs
+
     tangles = np.zeros(len(w))
     for k in np.unique(kept):  # one stack per number of kept eigenvectors
         rows = np.flatnonzero(kept == k)

@@ -100,7 +100,7 @@ class SweepConfig:
             raise ValueError(f"initial must be an InitialSpec, got {self.initial!r}")
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string or None, got {self.out_dir!r}")
-        ps = tuple(float(p) for p in self.p_values)
+        ps = tuple(_json_float(p, "p_values entry") for p in self.p_values)
         if len(ps) < 2:
             raise ValueError("grid needs at least 2 points")
         if not all(0.0 <= p <= 1.0 for p in ps):  # also false for NaN
@@ -198,15 +198,6 @@ class SweepRow:
     tomography: bool
     seed: int | None
     error: str | None = None
-
-    def to_record(self) -> dict:
-        """Column name -> native value, in ``CSV_COLUMNS`` order; a failed row has ""
-        in every measure cell."""
-        rec = dict.fromkeys(CSV_COLUMNS, "") if self.report is None else self.report._asdict()
-        rec.update(p=self.p, estimator_pair=self.estimator_pair,
-                   estimator_unbalanced=self.estimator_unbalanced, tomography=self.tomography,
-                   seed="" if self.seed is None else self.seed, error=self.error or "")
-        return rec
 
     @cached_property
     def cells(self) -> tuple[str, ...]:
@@ -340,7 +331,8 @@ _JSON_FAILED = _JSON_RECORD % ("%s", *['""'] * _MEASURES, *["%s"] * 5)
 
 
 def _json_record(row: SweepRow) -> str:
-    """The text ``json.dumps`` gives ``row.to_record()`` in ``sweep.json``.  ``str`` of a finite
+    """The row's ``sweep.json`` record: the text ``json.dumps(..., indent=1)`` gives its column ->
+    value dict (a failed row has "" in every measure cell).  ``str`` of a finite
     float is the ``float.__repr__`` that ``json.dumps`` writes; numbers that hold NaN or an
     infinity go through ``json.dumps`` itself, for its ``NaN``, ``Infinity`` and ``-Infinity``."""
     numbers = (row.p,) if row.report is None else row.report[:-1]
@@ -378,9 +370,10 @@ def emit_plotdata(rows, figure: str, path) -> None:
                    f"{figure} plot data")
 
 
-def rows_to_json(rows) -> list[dict]:
-    """JSON mirror of the CSV rows (numbers stay numbers, booleans booleans)."""
-    return [row.to_record() for row in rows]
+def rows_to_json(rows) -> str:
+    """The ``sweep.json`` text: the rows' records as ``json.dumps(records, indent=1)`` lays
+    them out (numbers stay numbers, booleans booleans), ``"[]"`` for no rows."""
+    return "[\n" + ",\n".join(map(_json_record, rows)) + "\n]" if rows else "[]"
 
 
 def write_manifest(config: SweepConfig, out_dir) -> None:
@@ -397,13 +390,12 @@ def write_manifest(config: SweepConfig, out_dir) -> None:
 
 def write_sweep(rows, config: SweepConfig, out_dir) -> None:
     """Every sweep artifact in ``out_dir``: sweep.csv, fig2-4.csv, sweep.json (the text of
-    ``json.dumps(rows_to_json(rows), indent=1)``), thresholds.json and manifest.json."""
+    ``rows_to_json(rows)``), thresholds.json and manifest.json."""
     out = Path(out_dir)
     emit_csv(rows, out / "sweep.csv")
     for figure in FIGURE_COLUMNS:
         emit_plotdata(rows, figure, out / f"{figure}.csv")
-    records = ",\n".join(map(_json_record, rows))
-    (out / "sweep.json").write_text(f"[\n{records}\n]" if rows else "[]")
+    (out / "sweep.json").write_text(rows_to_json(rows))
     (out / "thresholds.json").write_text(json.dumps(thresholds(rows), indent=1))
     write_manifest(config, out)
 

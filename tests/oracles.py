@@ -5,9 +5,9 @@ X-state concurrence is the textbook closed form, the convex-roof value
 is estimated by brute-force minimization over randomly sampled ensemble
 decompositions, the tomography setting kets are built one ``np.kron`` at a
 time, the Born map goes through the dense frame of the 256 projectors built
-from them, the Born system is solved by least squares, sweep records are
-encoded by ``json.dumps`` with its own indentation and sweep CSVs by
-``csv.writer``, the Wootters spin flip
+from them, the Born system is solved by least squares, a sweep row's record
+is a dict built from its fields, sweep records are encoded by ``json.dumps``
+with its own indentation and sweep CSVs by ``csv.writer``, the Wootters spin flip
 is the matrix product with sigma_y x sigma_y, and a partial trace permutes the
 matrix's own tensor axes.
 """
@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from entredist.measures import TangleReport
 from entredist.qcore import eig_hermitian
 
 
@@ -221,6 +222,17 @@ def lstsq_born_solution(freqs, projectors):
     sol, *_ = np.linalg.lstsq(a, np.asarray(freqs, dtype=complex), rcond=None)
     x = sol.reshape(dim, dim)
     return 0.5 * (x + x.conj().T)
+
+
+def row_record(row) -> dict:
+    """A sweep row as column name -> native value, in the sweep's column order: the report's
+    fields, then the provenance; a failed row has "" in every measure cell, and "" stands
+    for no seed and no error."""
+    record = dict.fromkeys(TangleReport._fields, "") if row.report is None else row.report._asdict()
+    record.update(p=row.p, estimator_pair=row.estimator_pair,
+                  estimator_unbalanced=row.estimator_unbalanced, tomography=row.tomography,
+                  seed="" if row.seed is None else row.seed, error=row.error or "")
+    return record
 
 
 def indented_json(records) -> str:

@@ -55,3 +55,5 @@ def test_tracer_records_layer_spans(tmp_path):
         tracer.uninstall()
     recorded = {name for name, *_ in tracer.spans}
     assert EXPECTED_SPANS <= recorded, EXPECTED_SPANS - recorded
+    # the CLI sweep's emitters: sweep.csv, the three figures, sweep.json and the manifest
+    assert [name for name, *_ in tracer.spans].count("pipeline.emit") == 6

@@ -40,7 +40,7 @@ def pure_rows():
 
 
 def series(rows, column):
-    return [(r.p, r.to_record()[column]) for r in rows]
+    return [(r.p, oracles.row_record(r)[column]) for r in rows]
 
 
 def test_sweep_dynamics_shape(pure_rows):
@@ -263,7 +263,7 @@ def _artifact_rows(kind, monkeypatch):
 def _assert_reference_artifacts(rows, out):
     """sweep.json and the four CSVs in ``out`` are byte-equal to the reference encoders'
     text for ``rows``."""
-    records = rows_to_json(rows)
+    records = list(map(oracles.row_record, rows))
     assert (out / "sweep.json").read_bytes() == oracles.indented_json(records).encode()
     assert (out / "sweep.csv").read_bytes() == oracles.csv_text(CSV_COLUMNS, records).encode()
     figure_records = [dict(record, witness_threshold=2 / 3) for record in records]
@@ -305,8 +305,14 @@ def test_write_sweep_builds_each_rows_cells_once(monkeypatch, tmp_path):
     assert all(len(row.cells) == len(CSV_COLUMNS) for row in rows)
 
 
-def test_rows_to_json_mirror(pure_rows):
-    payload = rows_to_json(pure_rows[:3])
+def test_rows_to_json_mirror(pure_rows, tmp_path):
+    # the returned text is what write_sweep writes and what the reference encoder gives
+    for rows in ([], pure_rows[:3]):
+        text = rows_to_json(rows)
+        write_sweep(rows, pure_config(steps=3), tmp_path)
+        assert (tmp_path / "sweep.json").read_bytes() == text.encode()
+        assert text == oracles.indented_json(list(map(oracles.row_record, rows)))
+    payload = json.loads(text)
     assert payload[0]["p"] == 0.0
     assert isinstance(payload[0]["genuine4"], bool)
     assert payload[0]["c2_s1s2"] == pytest.approx(INITIAL_TANGLE, abs=1e-9)
@@ -350,7 +356,7 @@ def test_sweep_rows_flag_errors_and_continue(monkeypatch, tmp_path):
     assert "synthetic failure" in rows[1].error
 
     measures = CSV_COLUMNS[1:CSV_COLUMNS.index("estimator_pair")]
-    record = rows_to_json(rows)[1]
+    record = json.loads(rows_to_json(rows))[1]
     assert {record[name] for name in measures} == {""}
     assert "synthetic failure" in record["error"]
     emit_csv(rows, tmp_path / "sweep.csv")
@@ -371,7 +377,7 @@ def test_failed_row_provenance_matches_its_neighbours(monkeypatch, kind):
     config = SweepConfig(initial=initial, p_values=(0.1, 0.5, 0.9), estimator="qp",
                          tomography=kind == "tomography", shots=2000, seed=5)
     _fail_evolve_at_half(monkeypatch)
-    left, failed, right = (row.to_record() for row in sweep(config))
+    left, failed, right = json.loads(rows_to_json(sweep(config)))
     assert "synthetic failure" in failed["error"] and not left["error"] and not right["error"]
     provenance = ("estimator_pair", "estimator_unbalanced", "tomography")
     assert [failed[k] for k in provenance] == [left[k] for k in provenance] == [right[k] for k in provenance]
@@ -489,6 +495,8 @@ def test_config_must_be_a_json_object(payload):
     ("tomography", "yes", "tomography must be True or False"),
     ("initial", "x", "initial must be an InitialSpec, got 'x'"),
     ("out_dir", 5, "out_dir must be a string or None, got 5"),
+    ("p_values", (0.0, "0.5"), "p_values entry must be a number, got '0.5'"),
+    ("p_values", (0.0, True), "p_values entry must be a number, got True"),
 ])
 def test_sweep_config_checks_its_own_field_types(field, value, message):
     with pytest.raises(ValueError, match=message):
