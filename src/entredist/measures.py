@@ -200,13 +200,13 @@ def tangle_quasipure(rho, part):
     w, v = w.reshape(-1, dim), v.reshape(-1, dim, dim)
     keep = w > 1e-13  # a prefix of each row, as w descends
     kept = keep.sum(axis=1)
-    top = kept.max()  # no state needs the eigenvectors past the most any keeps
+    top = kept.max(initial=0)  # no state needs the eigenvectors past the most any keeps
     # Eigenvectors as rows, amplitudes reordered so side A is the leading tensor factor.
     vecs = cut_register(v[:, :, :top].swapaxes(1, 2), slots).reshape(len(w), top, dim)
     subnormed = np.sqrt(np.where(keep, w, 0.0)[:, :top])[:, :, None] * vecs
 
     tangles = np.zeros(len(w))
-    for k in np.unique(kept):  # one stack per number of kept eigenvectors
+    for k in np.unique(kept[kept > 0]):  # one stack per number of kept eigenvectors
         rows = np.flatnonzero(kept == k)
         a = _antisym_overlap_matrix(subnormed[rows, :k], 2 ** len(slots))
         live = a[:, 0, 0].real > 1e-14
@@ -221,13 +221,20 @@ def tangle_quasipure(rho, part):
 # Three-tangle and effective-qubit compression
 # ---------------------------------------------------------------------------
 
+def _pure(psi, caller: str) -> PureState:
+    """``psi`` itself; any other kind raises, as ``caller`` reads amplitudes."""
+    if not isinstance(psi, PureState):
+        raise TypeError(f"{caller} needs a PureState, got {type(psi).__name__}")
+    return psi
+
+
 def three_tangle(psi3: PureState):
     """Tripartite tangle 4 det rho_0 - C_01^2 - C_02^2 of a pure 3-qubit state.
 
     The Coffman-Kundu-Wootters three-tangle is invariant under permutations
     of the qubits, so slot 0 serves as the reference.
     """
-    if psi3.n_qubits != 3:
+    if _pure(psi3, "three_tangle").n_qubits != 3:
         raise ValueError(f"three_tangle needs a 3-qubit state, got {psi3.n_qubits}")
     vec = psi3.amplitudes
     one_to_rest = 4.0 * np.linalg.det(vector_marginal(vec, (0,))).real
@@ -244,7 +251,7 @@ def compress_pair_to_qubit(psi: PureState, pair) -> PureState:
     effective |0> and |1>.  The returned 3-qubit state keeps the remaining
     slots in register order and appends the effective qubit last.
     """
-    if psi.n_qubits != 4:
+    if _pure(psi, "compress_pair_to_qubit").n_qubits != 4:
         raise ValueError("compression expects a 4-qubit state")
     pair_slots = resolve_slots(pair, 4)
     if len(pair_slots) != 2:

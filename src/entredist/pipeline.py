@@ -66,6 +66,7 @@ __all__ = [
 ]
 
 ZERO_TOL = 1e-9  # exact zeros exist analytically; anything above this is live
+_MAX_SHOTS = int(np.iinfo(np.int64).max)  # the most a binomial draw of counts takes
 
 # The numeric columns are the report's fields; provenance follows them.
 CSV_COLUMNS = TangleReport._fields + (
@@ -110,8 +111,8 @@ class SweepConfig:
         if not isinstance(self.tomography, bool):
             raise ValueError(f"tomography must be True or False, got {self.tomography!r}")
         shots, seed = _json_int(self.shots, "shots"), _json_int(self.seed, "seed")
-        if shots < 1:
-            raise ValueError("shots must be positive")
+        if not 1 <= shots <= _MAX_SHOTS:
+            raise ValueError(f"shots must be positive and at most {_MAX_SHOTS}, got {shots}")
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
         for name, value in (("p_values", ps), ("shots", shots), ("seed", seed)):
@@ -226,54 +227,40 @@ STACK_ROWS = 128
 
 
 def sweep(config: SweepConfig) -> list[SweepRow]:
-    """Evolve, optionally tomograph, and report every grid point in p order.
-
-    The grid goes through stacked passes of ``STACK_ROWS`` points.  If a pass
-    raises, each of its points is evaluated again on its own, so the failure
-    is flagged on its row only and the run continues.
-    """
+    """Evolve, optionally tomograph, and report every grid point in p order, in
+    stacked passes of ``STACK_ROWS`` points.  A pass that raises is evaluated again
+    point by point, so a failure is flagged on its row only and the run continues."""
     base = initial_state(config.initial)
     grid = sorted(config.p_values)
-    rows = []
-    for first in range(0, len(grid), STACK_ROWS):
-        batch = grid[first:first + STACK_ROWS]
-        try:
-            rows += _stacked_rows(config, base, batch, first)
-        except Exception:  # noqa: BLE001 - the row-by-row pass flags the failing row
-            rows += [_contained_row(config, base, p, first + k) for k, p in enumerate(batch)]
-    return rows
+    return [row for first in range(0, len(grid), STACK_ROWS)
+            for row in _rows(config, base, grid[first:first + STACK_ROWS], first)]
 
 
-def _provenance(config: SweepConfig, first: int, count: int) -> tuple[tuple, list]:
-    """Provenance of ``count`` rows from sorted grid index ``first`` on, live or failed: their
-    shared estimator names and tomography flag, and each one's seed (None without tomography)."""
+def _rows(config: SweepConfig, base, grid, first: int) -> list[SweepRow]:
+    """Rows of a pass of consecutive grid points (a list) or of one point alone (a float),
+    the first at sorted index ``first``, live or failed.  They share their estimator names
+    and tomography flag; each has its seed (None without tomography).  One stacked pass
+    evolves, fits and reports every point; if it raises, each point of the pass is
+    evaluated again alone, and a point that raises alone is flagged on its row."""
     mixed = config.tomography or config.initial.mixed_system is not None
-    return ((config.estimator if mixed else "pure", "qp" if mixed else "pure", config.tomography),
-            [config.seed + first + k if config.tomography else None for k in range(count)])
-
-
-def _contained_row(config: SweepConfig, base, p: float, index: int) -> SweepRow:
-    """One grid point as a stack of one; a failure is caught and flagged on the row."""
+    shared = (config.estimator if mixed else "pure", "qp" if mixed else "pure", config.tomography)
+    ps = np.array(grid, dtype=float, ndmin=1)
+    seeds = [config.seed + first + k if config.tomography else None for k in range(len(ps))]
+    error = None
     try:
-        return _stacked_rows(config, base, [p], index)[0]
+        states = evolve(base, ps, ps)
+        if config.tomography:
+            states = DensityMatrix(np.array([
+                mle_reconstruct(simulate_counts(mat, config.shots, seed)).rho.entries
+                for mat, seed in zip(as_matrix(states), seeds)
+            ]))
+        reports = compute_report(states, ps, estimator_pair=config.estimator)
     except Exception as exc:  # noqa: BLE001 - row-level containment is the contract
-        shared, (seed,) = _provenance(config, index, 1)
-        return SweepRow(float(p), None, *shared, seed, error=f"{type(exc).__name__}: {exc}")
-
-
-def _stacked_rows(config: SweepConfig, base, grid, first: int) -> list[SweepRow]:
-    """Rows of consecutive grid points, the first at sorted index ``first``, from one
-    stacked pass."""
-    ps = np.array(grid, dtype=float)
-    shared, seeds = _provenance(config, first, len(grid))
-    states = evolve(base, ps, ps)
-    if config.tomography:
-        states = DensityMatrix(np.array([
-            mle_reconstruct(simulate_counts(mat, config.shots, seed)).rho.entries
-            for mat, seed in zip(as_matrix(states), seeds)
-        ]))
-    reports = compute_report(states, ps, estimator_pair=config.estimator)
-    return [SweepRow(p, report, *shared, seed) for p, report, seed in zip(ps.tolist(), reports, seeds)]
+        if np.ndim(grid):
+            return [row for k, p in enumerate(grid) for row in _rows(config, base, p, first + k)]
+        reports, error = [None], f"{type(exc).__name__}: {exc}"
+    return [SweepRow(p, report, *shared, seed, error)
+            for p, report, seed in zip(ps.tolist(), reports, seeds)]
 
 
 def find_threshold(series, kind: str) -> float | None:

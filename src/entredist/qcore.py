@@ -289,7 +289,7 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(m, DensityMatrix):
         return m.spectrum
     mat = as_matrix(m)
-    dev = float(np.abs(mat - _dagger(mat)).max())
+    dev = float(np.abs(mat - _dagger(mat)).max(initial=0.0))
     if dev > HERMITIAN_ATOL:
         raise ValueError(f"matrix deviates from Hermitian by {dev} (> {HERMITIAN_ATOL})")
     w, v = np.linalg.eigh(hermitize(mat))

@@ -226,6 +226,22 @@ def test_flags_do_not_mend_a_bad_config_value(tmp_path, config_path, capsys):
             assert message in capsys.readouterr().err, (command, payload)
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_shots_beyond_int64_exit_one_before_any_write(where, tmp_path, config_path, capsys):
+    # a binomial draw takes at most 2**63 - 1 shots; more is a config error, not a traceback
+    if where == "config":
+        payload = json.loads(config_path.read_text())
+        config_path.write_text(json.dumps({**payload, "tomography": {"shots": 1e20}}))
+    flag = ["--shots", str(2 ** 63)] if where == "flag" else []
+    for command in ("sweep", "thresholds", "tomo-roundtrip"):
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config_path), "--out", str(out), *flag]) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "shots must be positive and at most" in err, command
+        assert not out.exists(), command
+
+
 # The file each command writes; thresholds with neither --out nor out_dir only prints.
 WRITTEN = {"thresholds": "thresholds.json", "sweep": "sweep.csv", "tomo-roundtrip": "report.json"}
 

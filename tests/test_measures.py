@@ -184,6 +184,33 @@ def test_raw_array_kernels_reject_non_register_dimensions(kernel, mat):
             fn(mat)
 
 
+@pytest.mark.parametrize("kernel", [tangle_lower_bound, tangle_quasipure],
+                         ids=["lb", "qp"])
+def test_mixed_tangle_kernels_take_a_zero_matrix_and_an_empty_stack(kernel):
+    # no eigenvalue is kept: both estimators read no entanglement, and an empty stack
+    # gives an empty stack of tangles
+    assert kernel(np.zeros((16, 16)), ("S1",)) == 0.0
+    empty = kernel(np.zeros((0, 16, 16)), ("S1",))
+    assert empty.shape == (0,)
+
+
+PURE_ONLY = {
+    "compress_pair_to_qubit": lambda rho: compress_pair_to_qubit(rho, ("S1", "E1")),
+    "effective_three_tangle": lambda rho: effective_three_tangle(rho, ("S1", "E1")),
+    "three_tangle": lambda rho: three_tangle(partial_trace(rho, ("S1", "S2", "E1"))),
+    "decompose_pair_residual": decompose_pair_residual,
+}
+
+
+@pytest.mark.parametrize("kernel", PURE_ONLY)
+def test_pure_only_kernels_reject_a_density_matrix(kernel):
+    rho = evolve(initial_state(InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, 0.82))),
+                 0.3, 0.3)
+    assert isinstance(rho, DensityMatrix)
+    with pytest.raises(TypeError, match="needs a PureState, got DensityMatrix"):
+        PURE_ONLY[kernel](rho)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_matrix_marginal_equals_the_permutation_oracle_bit_for_bit(n):
     dim, rng = 2 ** n, np.random.default_rng(n)

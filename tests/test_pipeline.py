@@ -387,6 +387,61 @@ def test_failed_row_provenance_matches_its_neighbours(monkeypatch, kind):
     assert seeds == ([5, 6, 7] if kind == "tomography" else ["", "", ""])
 
 
+SEVEN = (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95)  # passes of 3, 3 and 1 at STACK_ROWS = 3
+
+
+def _counted_evolve(monkeypatch, fails):
+    """Make ``pipeline.evolve`` raise on any stack that holds a point ``fails(p)`` names;
+    returns the list of the stacks it was called on."""
+    import entredist.pipeline as pipeline
+
+    real, calls = pipeline.evolve, []
+
+    def counted(state, p1, p2):
+        calls.append(np.atleast_1d(p1).tolist())
+        if any(fails(p) for p in calls[-1]):
+            raise ValueError("synthetic failure")
+        return real(state, p1, p2)
+
+    monkeypatch.setattr(pipeline, "evolve", counted)
+    monkeypatch.setattr(pipeline, "STACK_ROWS", 3)
+    return calls
+
+
+def test_failing_passes_retry_each_point_once(monkeypatch):
+    config = SweepConfig(initial=InitialSpec(alpha=ALPHA, beta=BETA), p_values=SEVEN,
+                         estimator="qp", tomography=True, shots=2000, seed=11)
+    calls = _counted_evolve(monkeypatch, lambda p: True)
+    rows = sweep(config)
+    assert [r.p for r in rows] == list(SEVEN)
+    assert all(r.report is None and "synthetic failure" in r.error for r in rows)
+    assert [r.seed for r in rows] == list(range(11, 18))
+    assert {(r.estimator_pair, r.estimator_unbalanced, r.tomography) for r in rows} == {
+        ("qp", "qp", True)}
+    # each failing pass of n points costs n single-point retries and no more
+    assert calls == [list(SEVEN[:3]), *[[p] for p in SEVEN[:3]],
+                     list(SEVEN[3:6]), *[[p] for p in SEVEN[3:6]],
+                     [SEVEN[6]], [SEVEN[6]]]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("failing", [(0, 6), (2, 3)], ids=["first-and-last", "pass-boundary"])
+def test_failures_stay_on_their_rows_across_passes(monkeypatch, failing):
+    config = SweepConfig(initial=InitialSpec(alpha=ALPHA, beta=BETA), p_values=SEVEN,
+                         tomography=True, shots=2000, seed=11)
+    clean = sweep(config)
+    calls = _counted_evolve(monkeypatch, lambda p: p in [SEVEN[i] for i in failing])
+    rows = sweep(config)
+    assert [k for k, r in enumerate(rows) if r.error] == list(failing)
+    assert [r for k, r in enumerate(rows) if k not in failing] == [
+        r for k, r in enumerate(clean) if k not in failing]
+    assert [r.seed for r in rows] == [r.seed for r in clean] == list(range(11, 18))
+    assert {(r.estimator_pair, r.estimator_unbalanced, r.tomography) for r in rows} == {
+        (clean[0].estimator_pair, clean[0].estimator_unbalanced, True)}
+    failed_passes = {k // 3 for k in failing}
+    assert len(calls) == 3 + sum(len(SEVEN[3 * i:3 * i + 3]) for i in failed_passes)
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_sweep_in_short_stacks_matches_one_pass(monkeypatch):
     import entredist.pipeline as pipeline
