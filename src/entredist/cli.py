@@ -23,14 +23,16 @@ from .tomography import mle_reconstruct, save_counts, save_settings_manifest, si
 
 
 def _load_config(args) -> SweepConfig:
-    """The config file, checked on its own, then the flags given replacing its values."""
+    """The config file, checked on its own, then the flags given replacing its values; a
+    legacy ``--estimator`` replaces the file's, so only the parse warns, once."""
     path = Path(args.config)
     try:
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
-    flags = {"out_dir": args.out, "seed": args.seed, "shots": args.shots,
-             "estimator": getattr(args, "estimator", None)}
+    if getattr(args, "estimator", None) is not None and isinstance(payload, dict):
+        payload = {**payload, "estimator": args.estimator}
+    flags = {"out_dir": args.out, "seed": args.seed, "shots": args.shots}
     try:
         config = SweepConfig.from_json(payload, base_dir=path.parent)
         return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
@@ -139,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     configured.add_argument("--seed", type=int, help="override the config seed")
     configured.add_argument("--shots", type=int, help="override tomography shots")
     swept = argparse.ArgumentParser(add_help=False, parents=[configured])
-    swept.add_argument("--estimator", choices=("lb", "qp"), help="mixed-state pair-cut estimator")
+    swept.add_argument("--estimator", choices=("lb", "qp"),
+                       help="legacy input, ignored with a FutureWarning")
 
     sub.add_parser("sweep", parents=[swept], help="run a full sweep and write CSV/JSON artifacts"
                    ).set_defaults(func=_cmd_sweep)

@@ -13,8 +13,8 @@ the same stacked numpy operations as a stack, with no per-item loop, so each
 value of a stack equals the value of its state alone.
 The quasi-pure tangles of a :class:`DensityMatrix` share one cached
 eigendecomposition, and each cut costs a factored overlap contraction.  Every
-marginal comes from ``qcore``, and one function, :func:`_cut_tangle`, picks the
-tangle of every cut: exact if pure, else the "lb" bound or the "qp" estimate.
+marginal comes from ``qcore``, and one function, :func:`_cut_tangle`, gives the
+tangle of every cut: exact if pure, else the quasi-pure value.
 """
 
 from __future__ import annotations
@@ -190,7 +190,9 @@ def tangle_quasipure(rho, part):
     Expands the squared-concurrence form around the dominant eigenvector of
     rho, which reduces the convex-roof minimization to the same
     singular-value expression that solves the two-qubit case.  Exact on pure
-    states; on the mixed states of interest it sits below the convex roof.
+    states, and on the pair cut of a damped two-qubit state rho_S, where it is
+    C(rho_S)^2 (the dilations act locally on (S1,E1) and (S2,E2)); on other
+    mixed states it may sit below the convex roof.
     A :class:`DensityMatrix` is decomposed once for all its cuts; the rank-k
     overlap matrix then costs k d_A^2 d_B + k^2 d_A^2 per state.
     """
@@ -333,14 +335,9 @@ def _pair_cut_rank(marginals):
     return numerical_rank(marginals[(0, 2)], 1e-6)
 
 
-def _cut_tangle(state, part, estimator: str):
-    """Tangle across ``part``: exact on a pure state; on a mixed one the purity-gap
-    bound ("lb") or the quasi-pure estimate ("qp")."""
-    if estimator not in ("lb", "qp"):
-        raise ValueError(f"unknown pair-cut estimator {estimator!r}")
-    if isinstance(state, PureState):
-        return tangle_pure(state, part)
-    return (tangle_lower_bound if estimator == "lb" else tangle_quasipure)(state, part)
+def _cut_tangle(state, part):
+    """Tangle across ``part``: exact on a pure state, quasi-pure on a mixed one."""
+    return (tangle_pure if isinstance(state, PureState) else tangle_quasipure)(state, part)
 
 
 def _residual_pair(tangle, marginals, c2):
@@ -351,18 +348,18 @@ def _residual_pair(tangle, marginals, c2):
 
 
 def _residual_single(state, i: int, c2):
-    return _cut_tangle(state, (i,), "qp") - sum(c2[min(i, j), max(i, j)] for j in range(4) if j != i)
+    return _cut_tangle(state, (i,)) - sum(c2[min(i, j), max(i, j)] for j in range(4) if j != i)
 
 
 def residual_pair_cut(state) -> float:
     """Residual entanglement of the (S1,E1)|(S2,E2) cut beyond all pairwise terms.
 
-    Pure states use the exact tangle; mixed states the purity-gap bound (a
-    sweep selects the quasi-pure estimate through ``compute_report``).  A pair
-    marginal of rank above two voids the monogamy guarantee, so it only warns.
+    Pure states use the exact tangle, mixed states the quasi-pure one, as
+    ``compute_report``'s ``residual_pair`` does.  A pair marginal of rank above
+    two voids the monogamy guarantee, so it only warns.
     """
     marginals, _, c2 = _pair_table(state)
-    return _residual_pair(_cut_tangle(state, PAIR_CUT, "lb"), marginals, c2)
+    return _residual_pair(_cut_tangle(state, PAIR_CUT), marginals, c2)
 
 
 def _effective_tangles(psi: PureState) -> dict:
@@ -405,7 +402,7 @@ def decompose_pair_residual(psi: PureState) -> ResidualDecomposition:
     residuals = [_residual_single(psi, i, c2) for i in range(4)]
     anchored = _anchored_tangles(residuals, effective)
     half_sum = 0.5 * (sum(raw for raw, _ in anchored.values()) + sum(effective.values()))
-    residual = _residual_pair(_cut_tangle(psi, PAIR_CUT, "lb"), marginals, c2)
+    residual = _residual_pair(_cut_tangle(psi, PAIR_CUT), marginals, c2)
     discrepancy = abs(half_sum - residual)
     if discrepancy > 1e-6:
         raise DecompositionError(
@@ -430,8 +427,8 @@ def monogamy_slacks(state) -> MonogamyReport:
 
     The pair-cut inequality is only valid when the (S1,E1) marginal is
     rank-two; otherwise that check is skipped with a notice.  On pure input
-    all slacks are exact; on mixed input they inherit the estimators and may
-    dip below zero.
+    all slacks are exact; on mixed input every tangle is the quasi-pure one,
+    so a slack may dip below zero.
     """
     marginals, _, c2 = _pair_table(_one_state(state, "monogamy_slacks"))
     one_vs_rest = {name: _residual_single(state, i, c2) for i, name in enumerate(SUBSYSTEMS)}
@@ -440,7 +437,7 @@ def monogamy_slacks(state) -> MonogamyReport:
         return MonogamyReport(one_vs_rest, None,
                               f"(S1,E1) marginal rank {rank} > 2; pair-cut check skipped")
     return MonogamyReport(one_vs_rest,
-                          _residual_pair(_cut_tangle(state, PAIR_CUT, "lb"), marginals, c2))
+                          _residual_pair(_cut_tangle(state, PAIR_CUT), marginals, c2))
 
 
 # ---------------------------------------------------------------------------
@@ -497,30 +494,29 @@ class TangleReport(NamedTuple):
     genuine4: bool
 
 
-def compute_report(state, p, estimator_pair: str = "lb"):
+def compute_report(state, p):
     """Evaluate the full measure hierarchy for one four-qubit state, or for a stack.
 
     A single state and its ``p`` give one :class:`TangleReport`; a stack of
     N states and N values of ``p`` give the list of N reports, each equal to
-    the report of its state alone.  ``estimator_pair`` ("lb", the purity-gap
-    bound ``c2_pair_lb``, or "qp" quasi-pure; any other name raises) picks the
-    pair-cut tangle of the residual on mixed input; on pure input both are the
-    exact tangle.  For mixed input the effective-qubit tangles are reported as
-    zero: they vanish identically on the damped family this pipeline sweeps,
-    and the compression they need is only defined for pure global states.
+    the report of its state alone.  The pair-cut tangle of ``residual_pair`` is
+    exact on pure input, where it is also ``c2_pair_lb``, and quasi-pure on mixed
+    input, where ``c2_pair_lb`` is the purity-gap bound.  For mixed input the
+    effective-qubit tangles are reported as zero: they vanish identically on the
+    damped family this pipeline sweeps, and the compression they need is only
+    defined for pure global states.
     """
     p = np.asarray(p, dtype=float)
     lead = _stack_shape(state)
     if p.shape != lead:
         raise ValueError(f"{p.size} values of p for a stack of shape {lead}")
     marginals, gamma, c2 = _pair_table(state)
-    c2_pair_lb = _cut_tangle(state, PAIR_CUT, "lb")
-    pair_cut = c2_pair_lb if estimator_pair == "lb" else _cut_tangle(state, PAIR_CUT, estimator_pair)
-    residuals = [_residual_single(state, i, c2) for i in range(4)]
+    pair_cut = _cut_tangle(state, PAIR_CUT)
     if isinstance(state, PureState):
-        effective = _effective_tangles(state)
+        c2_pair_lb, effective = pair_cut, _effective_tangles(state)
     else:
-        effective = dict.fromkeys(_EFFECTIVE, 0.0)
+        c2_pair_lb, effective = tangle_lower_bound(state, PAIR_CUT), dict.fromkeys(_EFFECTIVE, 0.0)
+    residuals = [_residual_single(state, i, c2) for i in range(4)]
     fid, genuine = dicke_witness(state)
     columns = dict(
         p=p, c2_s1s2=c2[0, 1], c2_e1e2=c2[2, 3], c2_s1e2=c2[0, 3], c2_s2e1=c2[1, 2],

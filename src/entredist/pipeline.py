@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import InitialSpec, ad_unitary, evolve, initial_state, random_family_state
+from .channels import (InitialSpec, ad_unitary, evolve, initial_state, mixed_system_with_purity,
+                       random_family_state)
 from .measures import (
     PAIR_CUT,
     TangleReport,
@@ -48,7 +49,7 @@ from .qcore import (
     state_from_json,
     state_to_json,
 )
-from .tomography import mle_reconstruct, simulate_counts
+from .tomography import _checked_shots, mle_reconstruct, simulate_counts
 
 __all__ = [
     "SweepConfig",
@@ -66,7 +67,6 @@ __all__ = [
 ]
 
 ZERO_TOL = 1e-9  # exact zeros exist analytically; anything above this is live
-_MAX_SHOTS = int(np.iinfo(np.int64).max)  # the most a binomial draw of counts takes
 
 # The numeric columns are the report's fields; provenance follows them.
 CSV_COLUMNS = TangleReport._fields + (
@@ -86,11 +86,10 @@ _CONFIG_KEYS = ("alpha_re", "alpha_im", "beta_re", "beta_im", "mixed_system_file
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Everything a sweep needs: initial spec, grid, estimators, tomography."""
+    """Everything a sweep needs: initial spec, grid, tomography, seed, output directory."""
 
     initial: InitialSpec
     p_values: tuple[float, ...]
-    estimator: str = "lb"
     tomography: bool = False
     shots: int = 100_000
     seed: int = 0
@@ -106,13 +105,9 @@ class SweepConfig:
             raise ValueError("grid needs at least 2 points")
         if not all(0.0 <= p <= 1.0 for p in ps):  # also false for NaN
             raise ValueError("grid must be finite and lie within [0, 1]")
-        if self.estimator not in ("lb", "qp"):
-            raise ValueError(f"estimator must be 'lb' or 'qp', got {self.estimator!r}")
         if not isinstance(self.tomography, bool):
             raise ValueError(f"tomography must be True or False, got {self.tomography!r}")
-        shots, seed = _json_int(self.shots, "shots"), _json_int(self.seed, "seed")
-        if not 1 <= shots <= _MAX_SHOTS:
-            raise ValueError(f"shots must be positive and at most {_MAX_SHOTS}, got {shots}")
+        shots, seed = _checked_shots(_json_int(self.shots, "shots")), _json_int(self.seed, "seed")
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
         for name, value in (("p_values", ps), ("shots", shots), ("seed", seed)):
@@ -121,9 +116,15 @@ class SweepConfig:
     @classmethod
     def from_json(cls, payload: dict, base_dir=".") -> "SweepConfig":
         """The one reader of the config layout (README, "Command line"); a key outside
-        it raises ``ValueError``, and ``mixed_system_file`` is read relative to ``base_dir``."""
+        it raises ``ValueError``, and ``mixed_system_file`` is read relative to ``base_dir``.
+        A legacy ``estimator`` of "lb" or "qp" raises one ``FutureWarning`` and is ignored."""
         if not isinstance(payload, dict):
             raise ValueError(f"a config must be a JSON object, got a {type(payload).__name__}")
+        if "estimator" in payload:
+            if payload["estimator"] not in ("lb", "qp"):
+                raise ValueError(f"estimator must be 'lb' or 'qp', got {payload['estimator']!r}")
+            warnings.warn("the estimator setting is ignored: a mixed row's residual_pair always "
+                          "takes the quasi-pure pair-cut tangle", FutureWarning, stacklevel=2)
         grid = payload.get("p_grid", {})
         tomo = payload.get("tomography", {})
         if not isinstance(tomo, dict):
@@ -159,8 +160,7 @@ class SweepConfig:
                                    _json_float(payload.get(f"{name}_im", 0.0), f"{name}_im"))
                            for name in ("alpha", "beta"))
             initial = InitialSpec(alpha=alpha, beta=beta)
-        return cls(initial=initial, p_values=tuple(ps), estimator=payload.get("estimator", "lb"),
-                   tomography=enabled,
+        return cls(initial=initial, p_values=tuple(ps), tomography=enabled,
                    shots=_json_int(tomo.get("shots", 100_000), "tomography.shots"),
                    seed=payload.get("seed", 0), out_dir=payload.get("out_dir"))
 
@@ -170,7 +170,6 @@ class SweepConfig:
                         [self.initial.alpha.real, self.initial.alpha.imag,
                          self.initial.beta.real, self.initial.beta.imag]),
             "p_values": list(self.p_values),
-            "estimator": self.estimator,
             "tomography": self.tomography,
             "shots": self.shots,
             "seed": self.seed,
@@ -239,11 +238,11 @@ def sweep(config: SweepConfig) -> list[SweepRow]:
 def _rows(config: SweepConfig, base, grid, first: int) -> list[SweepRow]:
     """Rows of a pass of consecutive grid points (a list) or of one point alone (a float),
     the first at sorted index ``first``, live or failed.  They share their estimator names
-    and tomography flag; each has its seed (None without tomography).  One stacked pass
-    evolves, fits and reports every point; if it raises, each point of the pass is
-    evaluated again alone, and a point that raises alone is flagged on its row."""
-    mixed = config.tomography or config.initial.mixed_system is not None
-    shared = (config.estimator if mixed else "pure", "qp" if mixed else "pure", config.tomography)
+    ("qp" if mixed, else "pure") and tomography flag; each has its seed (None without
+    tomography).  One stacked pass evolves, fits and reports every point; if it raises,
+    each point is evaluated again alone, and a point that raises alone is flagged."""
+    kind = "qp" if config.tomography or config.initial.mixed_system is not None else "pure"
+    shared = (kind, kind, config.tomography)
     ps = np.array(grid, dtype=float, ndmin=1)
     seeds = [config.seed + first + k if config.tomography else None for k in range(len(ps))]
     error = None
@@ -254,7 +253,7 @@ def _rows(config: SweepConfig, base, grid, first: int) -> list[SweepRow]:
                 mle_reconstruct(simulate_counts(mat, config.shots, seed)).rho.entries
                 for mat, seed in zip(as_matrix(states), seeds)
             ]))
-        reports = compute_report(states, ps, estimator_pair=config.estimator)
+        reports = compute_report(states, ps)
     except Exception as exc:  # noqa: BLE001 - row-level containment is the contract
         if np.ndim(grid):
             return [row for k, p in enumerate(grid) for row in _rows(config, base, p, first + k)]
@@ -403,6 +402,18 @@ def invariant_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     def add(name, err, tol):
         checks.append((name, bool(err <= tol), f"max deviation {err:.3e} (tol {tol:.0e})"))
 
+    def pair_concurrence_error(q1, q2):
+        """Largest deviation of the family's C_S1S2 at (q1, q2) from the closed form
+        2 beta sqrt((1-q1)(1-q2)) max(0, alpha - beta sqrt(q1 q2)), and of C_E1E2 from
+        the same at (1 - q1, 1 - q2)."""
+        states, err = evolve(base, q1, q2), 0.0
+        for pair, r1, r2 in ((("S1", "S2"), q1, q2), (("E1", "E2"), 1 - q1, 1 - q2)):
+            closed = 2 * beta * np.sqrt((1 - r1) * (1 - r2)) * np.maximum(
+                0.0, alpha - beta * np.sqrt(r1 * r2))
+            c = concurrence(partial_trace(states, pair).entries)
+            err = max(err, float(np.abs(c - closed).max()))
+        return err
+
     u = ad_unitary(rng.uniform(0, 1, 100))
     err = float(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(4)).max())
     add("damping dilation is unitary", err, 1e-12)
@@ -436,11 +447,7 @@ def invariant_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     checks.append(("monogamy slack non-negative on random pure states",
                    worst >= -1e-6, f"min slack {worst:.3e}"))
 
-    c_s = concurrence(partial_trace(family, ("S1", "S2")).entries)
-    c_e = concurrence(partial_trace(family, ("E1", "E2")).entries)
-    err = float(max(np.abs(c_s - 2 * beta * (1 - grid) * np.maximum(0.0, alpha - beta * grid)).max(),
-                    np.abs(c_e - 2 * beta * grid * np.maximum(0.0, alpha - beta * (1 - grid))).max()))
-    add("closed-form pairwise concurrences", err, 1e-8)
+    add("closed-form pairwise concurrences", pair_concurrence_error(grid, grid), 1e-8)
 
     haar = PureState(np.array([haar_state(4, rng).amplitudes for _ in range(10)]))
     err = float(np.abs(tangle_quasipure(haar.density(), (0,)) - tangle_pure(haar, (0,))).max())
@@ -448,4 +455,24 @@ def invariant_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
 
     fid = fidelity_pure(evolve(base, 0.5, 0.5).density(), dicke_state())
     add("Dicke fidelity at p=1/2", abs(fid - (alpha + 2 * beta) ** 2 / 6.0), 1e-9)
+
+    # 5e-5: the 1e-9 eigenvalue floor of measures._wootters_roots (ROADMAP item 10) drops
+    # Wootters roots below 3.2e-5, which raised C by up to 3.1e-5 over 40 000 random
+    # (p1, p2); where two equal roots drop together (p1 p2 or its mirror near 3e-9) it
+    # reaches 6.3e-5, which a uniform draw hits with odds near 1e-8 per point
+    p1, p2 = rng.uniform(0, 1, (2, 25))
+    add("closed-form pairwise concurrences at random (p1, p2)", pair_concurrence_error(p1, p2), 5e-5)
+
+    # the dilations act locally on (S1,E1) and (S2,E2), so on every damped mixed row the
+    # quasi-pure pair-cut tangle is the two-qubit convex roof C(rho_S)^2
+    systems = [mixed_system_with_purity(alpha, beta, 0.82)]
+    for rank in range(1, 5):  # a random system state of each rank
+        kets = np.array([haar_state(2, rng).amplitudes for _ in range(rank)])
+        weights = rng.dirichlet(np.ones(rank))
+        systems.append(DensityMatrix(np.einsum("k,ki,kj->ij", weights, kets, kets.conj())))
+    err = 0.0
+    for rho in systems:
+        rows = evolve(initial_state(InitialSpec(mixed_system=rho)), grid, grid[::-1])
+        err = max(err, float(np.abs(tangle_quasipure(rows, PAIR_CUT) - concurrence(rho) ** 2).max()))
+    add("quasi-pure pair-cut tangle is C(rho_S)^2 on mixed rows", err, 1e-12)
     return checks

@@ -90,22 +90,30 @@ _HALF_CONJ = _HALF.conj()
 _HALF_INV = np.linalg.inv(_HALF)
 _KETS_CONJ = KETS.conj()
 
+_MAX_SHOTS = int(np.iinfo(np.int64).max)  # the most a binomial draw of counts takes
+
+
+def _checked_shots(shots) -> int:
+    """``shots`` as an int, if it is an integer (not a boolean) in [1, ``_MAX_SHOTS``]."""
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) \
+            or not 1 <= shots <= _MAX_SHOTS:
+        raise ValueError(f"shots must be positive and at most {_MAX_SHOTS}, got {shots!r}")
+    return int(shots)
+
 
 @dataclass(frozen=True, eq=False)
 class Counts:
     """One count set: ``counts[id]`` successes out of ``shots`` for every setting id.
 
     ``counts`` becomes a read-only integer array of shape (256,) in setting-id
-    order; ``shots`` is an integer of at least 1, not a boolean.
+    order; ``shots`` is an integer in [1, 2**63 - 1], not a boolean.
     """
 
     counts: np.ndarray
     shots: int
 
     def __post_init__(self):
-        if isinstance(self.shots, bool) or not isinstance(self.shots, (int, np.integer)) \
-                or self.shots < 1:
-            raise ValueError(f"shots must be an integer of at least 1, got {self.shots!r}")
+        object.__setattr__(self, "shots", _checked_shots(self.shots))
         raw = np.asarray(self.counts)
         if raw.shape != (N_SETTINGS,):
             raise ValueError(f"expected {N_SETTINGS} counts in setting-id order, got shape {raw.shape}")
@@ -117,7 +125,6 @@ class Counts:
             raise ValueError(f"count {bad[0]} outside [0, shots={self.shots}]")
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "shots", int(self.shots))
 
 
 @lru_cache(maxsize=1)
@@ -151,6 +158,7 @@ def _born_adjoint(weights: np.ndarray) -> np.ndarray:
 
 def simulate_counts(rho, shots: int, seed: int) -> Counts:
     """Binomial counts for every setting; reproducible for a fixed seed."""
+    shots = _checked_shots(shots)  # before the draw, which would fail inside numpy
     probs = np.clip(_born(as_matrix(rho)), 0.0, 1.0)
     return Counts(np.random.default_rng(seed).binomial(shots, probs), shots)
 
@@ -166,13 +174,10 @@ def _born_solution(freqs: np.ndarray) -> np.ndarray:
 
 
 def linear_inversion(count_set: Counts) -> np.ndarray:
-    """Exact solution of the Born system, scaled to unit trace; Hermitian.
+    """:func:`_born_solution` of the frequencies, scaled to unit trace; Hermitian.
 
-    The 256 projectors span the 16x16 matrices, so the system has one exact
-    solution, two 16x16 products with the inverse half map (no least-squares
-    fit).  The output is a plain array because finite counts can push
-    eigenvalues negative; feed it through :func:`project_physical` to obtain
-    a state.
+    The output is a plain array because finite counts can push eigenvalues
+    negative; feed it through :func:`project_physical` to obtain a state.
     """
     freqs = count_set.counts / count_set.shots
     if not freqs[_Z_BASIS].any():

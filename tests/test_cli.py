@@ -1,5 +1,8 @@
+import csv
 import json
+import warnings
 
+import numpy as np
 import pytest
 
 from conftest import ALPHA, BETA, UNKNOWN_CONFIG_KEYS
@@ -49,8 +52,9 @@ def test_thresholds_prints_json(config_path, capsys):
     assert main(["thresholds", "--config", str(config_path)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"esd", "esb"}
-    assert main(["thresholds", "--config", str(config_path), "--seed", "3",
-                 "--shots", "500", "--estimator", "qp"]) == 0
+    with pytest.warns(FutureWarning):
+        assert main(["thresholds", "--config", str(config_path), "--seed", "3",
+                     "--shots", "500", "--estimator", "qp"]) == 0
     assert json.loads(capsys.readouterr().out) == payload
 
 
@@ -191,8 +195,9 @@ def test_successive_calls_share_no_parsed_state(tmp_path, config_path):
     # one parser serves every call: the flags of one call must not reach the next
     command = ["thresholds", "--config", str(config_path), "--out"]
     assert main([*command, str(tmp_path / "before")]) == 0
-    assert main([*command, str(tmp_path / "flags"), "--seed", "99", "--shots", "500",
-                 "--estimator", "qp"]) == 0
+    with pytest.warns(FutureWarning):
+        assert main([*command, str(tmp_path / "flags"), "--seed", "99", "--shots", "500",
+                     "--estimator", "qp"]) == 0
     assert main([*command, str(tmp_path / "after")]) == 0
     manifest = {name: json.loads((tmp_path / name / "manifest.json").read_text())
                 for name in ("before", "flags", "after")}
@@ -289,8 +294,9 @@ def test_unknown_figure_protected_internally(config_path, tmp_path):
 
 def test_estimator_flag_threads_through(tmp_path, config_path):
     out = tmp_path / "qp"
-    assert main(["sweep", "--config", str(config_path), "--out", str(out),
-                 "--estimator", "qp"]) == 0
+    with pytest.warns(FutureWarning):
+        assert main(["sweep", "--config", str(config_path), "--out", str(out),
+                     "--estimator", "qp"]) == 0
     header, *rows = (out / "sweep.csv").read_text().splitlines()
     idx = header.split(",").index("estimator_pair")
     assert {r.split(",")[idx] for r in rows} == {"pure"}  # pure rows ignore it
@@ -305,8 +311,56 @@ def test_estimator_flag_threads_through(tmp_path, config_path):
         "p_grid": {"steps": 5},
     }))
     out2 = tmp_path / "qp2"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out2),
-                 "--estimator", "qp"]) == 0
+    with pytest.warns(FutureWarning):
+        assert main(["sweep", "--config", str(cfg), "--out", str(out2),
+                     "--estimator", "lb"]) == 0
     header, *rows = (out2 / "sweep.csv").read_text().splitlines()
     idx = header.split(",").index("estimator_pair")
     assert {r.split(",")[idx] for r in rows} == {"qp"}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_legacy_estimator_input_changes_no_byte(tmp_path):
+    # a mixed config naming "lb", "qp" or no estimator, by key, by flag or both, writes the
+    # same sweep.csv and manifest.json; each run that names one warns exactly once
+    from entredist.channels import mixed_system_with_purity
+
+    (tmp_path / "system.json").write_text(
+        json.dumps(state_to_json(mixed_system_with_purity(ALPHA, BETA, 0.82))))
+    runs = {}
+    for key in (None, "lb", "qp"):
+        cfg = tmp_path / f"mixed-{key}.json"
+        cfg.write_text(json.dumps({"mixed_system_file": "system.json", "p_grid": {"steps": 11},
+                                   **({"estimator": key} if key else {})}))
+        for flag in (None, "lb", "qp"):
+            out = tmp_path / f"out-{key}-{flag}"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                             *(["--estimator", flag] if flag else [])]) == 0
+            legacy = [w for w in caught if w.category is FutureWarning]
+            assert len(legacy) == (key is not None or flag is not None), (key, flag)
+            runs[key, flag] = [(out / name).read_bytes() for name in ("sweep.csv", "manifest.json")]
+    assert all(files == runs[None, None] for files in runs.values())
+    assert b",qp,qp,false,," in runs[None, None][0]
+
+
+def test_sweep_warns_of_failed_rows(tmp_path, config_path, monkeypatch, capsys):
+    import entredist.pipeline as pipeline
+
+    real = pipeline.compute_report
+
+    def flaky(state, p):
+        if 0.5 in np.atleast_1d(p):
+            raise ValueError("synthetic failure")
+        return real(state, p)
+
+    monkeypatch.setattr(pipeline, "compute_report", flaky)
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", str(config_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "warning: 1 rows failed: p = [0.5]\n"
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 21
+    assert [row["p"] for row in rows if row["error"]] == ["0.5"]
+    assert rows[10]["error"] == "ValueError: synthetic failure" and rows[10]["c2_s1s2"] == ""

@@ -677,15 +677,14 @@ def test_compute_report_evaluates_each_concurrence_once(monkeypatch, case, limit
     if case == "decompose":
         decompose_pair_residual(state)
     else:
-        compute_report(state, 0.3, estimator_pair="lb")
+        compute_report(state, 0.3)
     assert calls["concurrence_signed"] <= limit
-    assert calls["tangle_lower_bound"] <= 1  # c2_pair_lb is also the lb residual's tangle
+    assert calls["tangle_lower_bound"] <= 1  # c2_pair_lb, on mixed input only
 
 
-@pytest.mark.parametrize("estimator", ["lb", "qp"])
-def test_compute_report_decomposes_a_mixed_stack_once(monkeypatch, estimator):
+def test_compute_report_decomposes_a_mixed_stack_once(monkeypatch):
     # building the stack validates it with the same 16 x 16 eigendecomposition
-    # that the four (lb) or five (qp) quasi-pure cuts then share
+    # that the five quasi-pure cuts then share
     spec = InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, 0.82))
     grid = np.linspace(0.0, 1.0, 5)
     base = initial_state(spec)
@@ -700,19 +699,18 @@ def test_compute_report_decomposes_a_mixed_stack_once(monkeypatch, estimator):
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
     stack = evolve(base, grid, grid)
-    compute_report(stack, grid, estimator_pair=estimator)
+    compute_report(stack, grid)
     assert 4 in dims  # the pair concurrences' square roots are counted too
     assert dims.count(16) <= 1
 
 
 def test_compute_report_mixed_uses_estimators():
-    # p = 0.45 sits inside the dead window, so all pairwise terms vanish
-    rho = family_state(0.45).density()
-    lb_report = compute_report(rho, 0.45, estimator_pair="lb")
-    qp_report = compute_report(rho, 0.45, estimator_pair="qp")
-    assert lb_report.residual_pair == pytest.approx(INITIAL_TANGLE, abs=1e-6)
-    assert qp_report.residual_pair == pytest.approx(INITIAL_TANGLE, abs=1e-4)
-    assert (lb_report.tau_eff_s1e1, lb_report.tau_eff_s2e2) == (0.0, 0.0)
+    # p = 0.45 sits inside the dead window, so all pairwise terms vanish; the state is
+    # pure, so both the purity-gap bound and the quasi-pure tangle are exact
+    report = compute_report(family_state(0.45).density(), 0.45)
+    assert report.c2_pair_lb == pytest.approx(INITIAL_TANGLE, abs=1e-6)
+    assert report.residual_pair == pytest.approx(INITIAL_TANGLE, abs=1e-12)
+    assert (report.tau_eff_s1e1, report.tau_eff_s2e2) == (0.0, 0.0)
 
 
 # -- stacked engine ------------------------------------------------------------
@@ -725,27 +723,27 @@ def stacked_family(spec, steps):
 
 
 STACKED_CASES = {
-    "pure-1/7": (InitialSpec(alpha=ALPHA, beta=BETA), 201, "lb"),
+    "pure-1/7": (InitialSpec(alpha=ALPHA, beta=BETA), 201),
     "pure-complex": (InitialSpec(alpha=np.sqrt(0.2) * np.exp(1.1j),
-                                 beta=np.sqrt(0.8) * np.exp(-0.4j)), 101, "lb"),
-    "mixed-lb": (InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, 0.82)), 51, "lb"),
-    "mixed-qp": (InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, 0.82)), 51, "qp"),
+                                 beta=np.sqrt(0.8) * np.exp(-0.4j)), 101),
+    "mixed-0.82": (InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, 0.82)), 51),
+    "mixed-0.9": (InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, 0.9)), 51),
 }
 
 
 @pytest.mark.parametrize("case", STACKED_CASES)
 def test_stacked_engine_equals_per_state_calls(case):
     # the per-state calls are the reference: a stack must reproduce them bit for bit
-    spec, steps, estimator = STACKED_CASES[case]
+    spec, steps = STACKED_CASES[case]
     grid, stack, states = stacked_family(spec, steps)
     pure = isinstance(stack, PureState)
     entries = stack.amplitudes if pure else stack.entries
     assert np.array_equal(entries, [s.amplitudes if pure else s.entries for s in states])
 
-    reports = compute_report(stack, grid, estimator_pair=estimator)
+    reports = compute_report(stack, grid)
     assert len(reports) == steps
     for p, state, report in zip(grid, states, reports):
-        single = compute_report(state, p, estimator_pair=estimator)
+        single = compute_report(state, p)
         for name, value in single._asdict().items():
             assert getattr(report, name) == value, (p, name)
 
@@ -820,13 +818,6 @@ def test_stacked_clamp_zeroes_noise_and_warns_per_state():
                 in_band += 1
     assert in_band == 4 and len(expected) == 8
     assert stacked_messages == sorted(expected)
-
-
-@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
-def test_compute_report_rejects_an_unknown_estimator(mixed):
-    state = family_state(0.3)
-    with pytest.raises(ValueError, match="unknown pair-cut estimator 'xx'"):
-        compute_report(state.density() if mixed else state, 0.3, estimator_pair="xx")
 
 
 def test_pure_pair_cut_bound_is_the_exact_tangle():

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from functools import cached_property
 from pathlib import Path
 
@@ -10,8 +11,8 @@ import pytest
 import oracles
 from conftest import ALPHA, BETA, INITIAL_TANGLE, P_ESB, P_ESD, UNKNOWN_CONFIG_KEYS
 from entredist.channels import InitialSpec, evolve, initial_state, mixed_system_with_purity
-from entredist.measures import TangleReport, compute_report
-from entredist.qcore import DensityMatrix, PureState
+from entredist.measures import TangleReport, compute_report, concurrence
+from entredist.qcore import DensityMatrix, PureState, haar_state, save_state
 from entredist.pipeline import (
     CSV_COLUMNS,
     FIGURE_COLUMNS,
@@ -249,7 +250,7 @@ def _artifact_rows(kind, monkeypatch):
     initial = (InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, 0.82))
                if kind == "mixed" else InitialSpec(alpha=ALPHA, beta=BETA))
     config = SweepConfig(initial=initial, p_values=tuple(np.linspace(0.0, 1.0, 11)),
-                         estimator="qp", tomography=kind == "tomography", shots=2000, seed=5)
+                         tomography=kind == "tomography", shots=2000, seed=5)
     if kind == "failed":
         # an error text with a quote, a backslash, a newline and the record boundary
         # of the indent=1 layout must still encode as the reference does
@@ -344,11 +345,11 @@ def test_sweep_rows_flag_errors_and_continue(monkeypatch, tmp_path):
     config = pure_config(steps=4)
     real = pipeline.compute_report
 
-    def flaky(state, p, estimator_pair="lb"):
+    def flaky(state, p):
         # fails on any stack that holds the second grid point, whatever its size
         if config.p_values[1] in np.atleast_1d(p):
             raise ValueError("synthetic failure")
-        return real(state, p, estimator_pair=estimator_pair)
+        return real(state, p)
 
     monkeypatch.setattr(pipeline, "compute_report", flaky)
     rows = sweep(config)
@@ -374,7 +375,7 @@ def test_sweep_rows_flag_errors_and_continue(monkeypatch, tmp_path):
 def test_failed_row_provenance_matches_its_neighbours(monkeypatch, kind):
     initial = (InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, 0.82))
                if kind == "mixed" else InitialSpec(alpha=ALPHA, beta=BETA))
-    config = SweepConfig(initial=initial, p_values=(0.1, 0.5, 0.9), estimator="qp",
+    config = SweepConfig(initial=initial, p_values=(0.1, 0.5, 0.9),
                          tomography=kind == "tomography", shots=2000, seed=5)
     _fail_evolve_at_half(monkeypatch)
     left, failed, right = json.loads(rows_to_json(sweep(config)))
@@ -410,7 +411,7 @@ def _counted_evolve(monkeypatch, fails):
 
 def test_failing_passes_retry_each_point_once(monkeypatch):
     config = SweepConfig(initial=InitialSpec(alpha=ALPHA, beta=BETA), p_values=SEVEN,
-                         estimator="qp", tomography=True, shots=2000, seed=11)
+                         tomography=True, shots=2000, seed=11)
     calls = _counted_evolve(monkeypatch, lambda p: True)
     rows = sweep(config)
     assert [r.p for r in rows] == list(SEVEN)
@@ -467,8 +468,9 @@ def test_config_parsing_and_validation(tmp_path):
         "seed": 9,
         "out_dir": "runs",
     }
-    cfg = SweepConfig.from_json(payload)
-    assert len(cfg.p_values) == 11 and cfg.estimator == "qp" and cfg.initial.beta == 1j * BETA
+    with pytest.warns(FutureWarning, match="estimator setting is ignored"):
+        cfg = SweepConfig.from_json(payload)
+    assert len(cfg.p_values) == 11 and cfg.initial.beta == 1j * BETA
     assert cfg.tomography and cfg.shots == 123 and cfg.seed == 9 and cfg.out_dir == "runs"
 
     cfg = SweepConfig.from_json({"alpha_re": 1.0, "beta_re": 0.0, "p_grid": [0.0, 0.25, 1.0]})
@@ -481,8 +483,8 @@ def test_config_parsing_and_validation(tmp_path):
     with pytest.raises(ValueError, match="steps"):
         SweepConfig.from_json({"alpha_re": 1.0, "beta_re": 0.0,
                                "p_grid": {"steps": 1}})
-    with pytest.raises(ValueError, match="estimator"):
-        pure_config(estimator="exact")
+    with pytest.raises(ValueError, match="estimator must be 'lb' or 'qp', got 'exact'"):
+        SweepConfig.from_json({"alpha_re": 1.0, "beta_re": 0.0, "estimator": "exact"})
 
     # integer fields take JSON integers only: no booleans, no fractional part
     pure = {"alpha_re": 1.0, "beta_re": 0.0}
@@ -588,16 +590,42 @@ def test_mixed_fixture_thresholds_match_lab_window():
     assert esb == pytest.approx(0.67, abs=0.05)
 
 
+def _mixed_config(tmp_path, system, estimator=None, steps=101):
+    """A mixed-input config read from JSON, naming the legacy ``estimator`` if given; a
+    named one warns once."""
+    save_state(system, tmp_path / "system.json")
+    payload = {"mixed_system_file": "system.json", "p_grid": {"steps": steps}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        config = SweepConfig.from_json({**payload, **({"estimator": estimator} if estimator else {})},
+                                       base_dir=tmp_path)
+    assert [w.category for w in caught] == [FutureWarning] * (estimator is not None)
+    return config
+
+
+def _assert_exact_pair_cut_residual(rows, system):
+    """Every row's residual_pair is C(rho_S)^2 less its four pairwise terms."""
+    tangle = concurrence(system) ** 2
+    for row in rows:
+        r = row.report
+        want = tangle - (r.c2_s2e1 + r.c2_s1e2 + r.c2_s1s2 + r.c2_e1e2)
+        assert r.residual_pair == pytest.approx(want, abs=1e-12), row.p
+
+
 @pytest.mark.parametrize("purity", [0.82, 0.9])
-@pytest.mark.parametrize("estimator", ["lb", "qp"])
+@pytest.mark.parametrize("estimator", ["lb", "qp", None], ids=["lb", "qp", "none"])
 def test_mixed_fixture_sweep_matches_the_closed_forms(tmp_path, purity, estimator):
-    initial = InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, purity))
-    config = SweepConfig(initial=initial, p_values=tuple(np.linspace(0.0, 1.0, 101)),
-                         estimator=estimator)
+    # the legacy estimator input changes nothing; the pair-cut tangle is the fixture's
+    # C^2 = 4 (v alpha beta - q)^2 (see oracles.mixed_fixture_row), on every row
+    system = mixed_system_with_purity(ALPHA, BETA, purity)
+    config = _mixed_config(tmp_path, system, estimator)
     rows = sweep(config)
+    assert {(row.estimator_pair, row.estimator_unbalanced) for row in rows} == {("qp", "qp")}
     for row in rows:
         for column, want in oracles.mixed_fixture_row(ALPHA, BETA, purity, row.p).items():
             assert getattr(row.report, column) == pytest.approx(want, abs=1e-12), (row.p, column)
+    assert concurrence(system) == pytest.approx(oracles.xstate_concurrence(system.entries), abs=1e-12)
+    _assert_exact_pair_cut_residual(rows, system)
     # the gamma_* crossings sit within interpolation error of the closed-form thresholds
     # (measured 4.9e-6 at P = 0.82 and 2.1e-5 at P = 0.9)
     write_sweep(rows, config, tmp_path)
@@ -605,6 +633,21 @@ def test_mixed_fixture_sweep_matches_the_closed_forms(tmp_path, purity, estimato
     want = oracles.mixed_fixture_thresholds(ALPHA, BETA, purity)
     tol = {0.82: 1e-5, 0.9: 5e-5}[purity]
     assert found == pytest.approx(want, abs=tol)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # random states' single-qubit residuals
+@pytest.mark.parametrize("estimator", [None, "lb"], ids=["none", "lb"])
+def test_mixed_residual_pair_is_the_exact_pair_cut_tangle(tmp_path, estimator):
+    # the dilations are local unitaries on (S1,E1) and (S2,E2), so a damped row's pair-cut
+    # tangle is the two-qubit convex roof C(rho_S)^2 at every p: 24 random system states,
+    # six of each rank 1 to 4
+    rng = np.random.default_rng(31)
+    for rank in [1, 2, 3, 4] * 6:
+        kets = np.array([haar_state(2, rng).amplitudes for _ in range(rank)])
+        weights = rng.dirichlet(np.ones(rank))
+        system = DensityMatrix(np.einsum("k,ki,kj->ij", weights, kets, kets.conj()))
+        _assert_exact_pair_cut_residual(sweep(_mixed_config(tmp_path, system, estimator, 11)),
+                                        system)
 
 
 def test_write_manifest(tmp_path):
@@ -623,3 +666,34 @@ def test_invariant_checks_all_pass():
     assert len(checks) >= 8
     failures = [(name, detail) for name, ok, detail in checks if not ok]
     assert failures == []
+
+
+def _check(name, seed=0):
+    """The named check of ``invariant_checks(seed)``: (passed, detail)."""
+    [(ok, detail)] = [(ok, detail) for n, ok, detail in invariant_checks(seed) if n == name]
+    return ok, detail
+
+
+def test_invariant_check_of_the_mixed_pair_cut_tangle(monkeypatch):
+    import entredist.measures as measures
+    import entredist.pipeline as pipeline
+
+    name = "quasi-pure pair-cut tangle is C(rho_S)^2 on mixed rows"
+    assert _check(name) == (True, _check(name)[1])
+    # the purity-gap bound falls 0.046 below the roof on the purity-0.82 fixture
+    monkeypatch.setattr(pipeline, "tangle_quasipure", measures.tangle_lower_bound)
+    ok, detail = _check(name)
+    assert not ok and float(detail.split()[2]) > 0.04
+
+
+def test_invariant_check_of_the_family_concurrences_off_the_diagonal(monkeypatch):
+    import entredist.pipeline as pipeline
+
+    name = "closed-form pairwise concurrences at random (p1, p2)"
+    for seed in (0, 1, 2026):
+        assert _check(name, seed)[0], seed
+    # a dilation that damps both photons at p1 passes the diagonal check, not this one
+    real = pipeline.evolve
+    monkeypatch.setattr(pipeline, "evolve", lambda state, p1, p2: real(state, p1, p1))
+    assert _check("closed-form pairwise concurrences")[0]
+    assert not _check(name)[0]

@@ -117,6 +117,14 @@ def test_simulate_counts_deterministic_and_saturating():
     assert not np.array_equal(a.counts, c.counts)
 
 
+@pytest.mark.parametrize("shots", [2 ** 63, -5, 0, True, 2.5], ids=str)
+def test_simulate_counts_checks_shots_before_drawing(monkeypatch, shots):
+    # the package's message, not numpy's OverflowError or "n < 0" from the draw
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew counts"))
+    with pytest.raises(ValueError, match="shots must be positive and at most 9223372036854775807"):
+        simulate_counts(family_state(0.5).density(), shots, seed=1)
+
+
 def test_simulate_counts_law_of_large_numbers():
     rho = family_state(0.5).density()
     shots = 10**6
