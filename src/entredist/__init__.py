@@ -51,7 +51,6 @@ from .measures import (  # noqa: E402,F401
     dicke_witness,
     effective_three_tangle,
     monogamy_slacks,
-    residual_pair_cut,
     tangle_lower_bound,
     tangle_pure,
     tangle_quasipure,

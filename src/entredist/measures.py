@@ -15,6 +15,8 @@ The quasi-pure tangles of a :class:`DensityMatrix` share one cached
 eigendecomposition, and each cut costs a factored overlap contraction.  Every
 marginal comes from ``qcore``, and one function, :func:`_cut_tangle`, gives the
 tangle of every cut: exact if pure, else the quasi-pure value.
+:func:`compute_report` is the one evaluator of the residual split, and
+:func:`decompose_pair_residual` reads its six terms and its residual from it.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ __all__ = [
     "three_tangle",
     "compress_pair_to_qubit",
     "effective_three_tangle",
-    "residual_pair_cut",
     "decompose_pair_residual",
     "ResidualDecomposition",
     "monogamy_slacks",
@@ -313,11 +314,12 @@ _ANCHORED = (
 
 
 def _pair_table(state):
-    """The six pair marginals, their signed and their squared concurrences, by slot pair."""
+    """The signed and the squared concurrences of the six pair marginals, by slot pair,
+    and the rank of the (S1,E1) marginal."""
     marginals = {ab: state_marginal(state, ab) for ab in _PAIRS}
     gamma = {ab: concurrence_signed(m) for ab, m in marginals.items()}
     c2 = {ab: native(np.square(_positive(g))) for ab, g in gamma.items()}
-    return marginals, gamma, c2
+    return gamma, c2, numerical_rank(marginals[0, 2], 1e-6)
 
 
 def _stack_shape(state) -> tuple:
@@ -331,18 +333,14 @@ def _one_state(state, caller: str):
     return state
 
 
-def _pair_cut_rank(marginals):
-    return numerical_rank(marginals[(0, 2)], 1e-6)
-
-
 def _cut_tangle(state, part):
     """Tangle across ``part``: exact on a pure state, quasi-pure on a mixed one."""
     return (tangle_pure if isinstance(state, PureState) else tangle_quasipure)(state, part)
 
 
-def _residual_pair(tangle, marginals, c2):
-    """The pair-cut ``tangle`` less the pairwise terms; a rank above two warns per state."""
-    for _ in range(np.count_nonzero(_pair_cut_rank(marginals) > 2)):  # one per state
+def _residual_pair(tangle, rank, c2):
+    """The pair-cut ``tangle`` less the pairwise terms; a ``rank`` above two warns per state."""
+    for _ in range(np.count_nonzero(rank > 2)):  # one per state
         warnings.warn("(S1,E1) marginal has rank above two; residual is not certified")
     return tangle - sum(c2[ab] for ab in _PAIR_CUT_TERMS)
 
@@ -351,29 +349,12 @@ def _residual_single(state, i: int, c2):
     return _cut_tangle(state, (i,)) - sum(c2[min(i, j), max(i, j)] for j in range(4) if j != i)
 
 
-def residual_pair_cut(state) -> float:
-    """Residual entanglement of the (S1,E1)|(S2,E2) cut beyond all pairwise terms.
-
-    Pure states use the exact tangle, mixed states the quasi-pure one, as
-    ``compute_report``'s ``residual_pair`` does.  A pair marginal of rank above
-    two voids the monogamy guarantee, so it only warns.
-    """
-    marginals, _, c2 = _pair_table(state)
-    return _residual_pair(_cut_tangle(state, PAIR_CUT), marginals, c2)
-
-
-def _effective_tangles(psi: PureState) -> dict:
-    return {col: effective_three_tangle(psi, pair) for col, pair in _EFFECTIVE.items()}
-
-
-def _anchored_tangles(residuals: list, effective: dict) -> dict[str, tuple[float, float]]:
-    """Every anchored three-tangle column, raw and noise-clamped: the residual of its
-    reference qubit (``residuals`` by slot) less its grouping's effective three-tangle."""
-    anchored = {}
-    for col, i, eff in _ANCHORED:
-        raw = residuals[i] - effective[eff]
-        anchored[col] = raw, _clamp_small_negative(raw, f"reduced three-tangle at {SUBSYSTEMS[i]}")
-    return anchored
+def _anchored_tangles(residuals: list, effective: dict) -> dict:
+    """Every anchored three-tangle column, noise-clamped: the residual of its reference
+    qubit (``residuals`` by slot) less its grouping's effective three-tangle."""
+    return {col: _clamp_small_negative(residuals[i] - effective[eff],
+                                       f"reduced three-tangle at {SUBSYSTEMS[i]}")
+            for col, i, eff in _ANCHORED}
 
 
 @dataclass(frozen=True)
@@ -394,22 +375,25 @@ class ResidualDecomposition:
 def decompose_pair_residual(psi: PureState) -> ResidualDecomposition:
     """Split the pair-cut residual into four anchored and two effective tangles.
 
-    The half-sum of the six terms must reproduce the residual itself; a
-    discrepancy beyond 1e-6 raises with both sides reported.
+    The terms and the residual are ``psi``'s :func:`compute_report` fields, an
+    anchored term unclamped: its reference qubit's ``residual_*`` less its ``tau_eff_*``.
+    Their half-sum must reproduce the residual; a discrepancy beyond 1e-6 raises
+    with both sides reported.
     """
-    marginals, _, c2 = _pair_table(_one_state(psi, "decompose_pair_residual"))
-    effective = _effective_tangles(psi)
-    residuals = [_residual_single(psi, i, c2) for i in range(4)]
-    anchored = _anchored_tangles(residuals, effective)
-    half_sum = 0.5 * (sum(raw for raw, _ in anchored.values()) + sum(effective.values()))
-    residual = _residual_pair(_cut_tangle(psi, PAIR_CUT), marginals, c2)
+    report = compute_report(_pure(_one_state(psi, "decompose_pair_residual"),
+                                  "decompose_pair_residual"), 0.0)
+    effective = {col: getattr(report, col) for col in _EFFECTIVE}
+    raw = [getattr(report, f"residual_{SUBSYSTEMS[i].lower()}") - effective[eff]
+           for _, i, eff in _ANCHORED]
+    half_sum = 0.5 * (sum(raw) + sum(effective.values()))
+    residual = report.residual_pair
     discrepancy = abs(half_sum - residual)
     if discrepancy > 1e-6:
         raise DecompositionError(
             f"residual decomposition mismatch: half-sum {half_sum!r} vs residual {residual!r} "
             f"(|diff| = {discrepancy:.3e} > 1e-6)"
         )
-    reduced = {column: tau for column, (_, tau) in anchored.items()}
+    reduced = {col: getattr(report, col) for col, _, _ in _ANCHORED}
     return ResidualDecomposition(reduced, effective, half_sum, residual, discrepancy)
 
 
@@ -430,14 +414,12 @@ def monogamy_slacks(state) -> MonogamyReport:
     all slacks are exact; on mixed input every tangle is the quasi-pure one,
     so a slack may dip below zero.
     """
-    marginals, _, c2 = _pair_table(_one_state(state, "monogamy_slacks"))
+    _, c2, rank = _pair_table(_one_state(state, "monogamy_slacks"))
     one_vs_rest = {name: _residual_single(state, i, c2) for i, name in enumerate(SUBSYSTEMS)}
-    rank = _pair_cut_rank(marginals)
     if rank > 2:
         return MonogamyReport(one_vs_rest, None,
                               f"(S1,E1) marginal rank {rank} > 2; pair-cut check skipped")
-    return MonogamyReport(one_vs_rest,
-                          _residual_pair(_cut_tangle(state, PAIR_CUT), marginals, c2))
+    return MonogamyReport(one_vs_rest, _residual_pair(_cut_tangle(state, PAIR_CUT), rank, c2))
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +492,11 @@ def compute_report(state, p):
     lead = _stack_shape(state)
     if p.shape != lead:
         raise ValueError(f"{p.size} values of p for a stack of shape {lead}")
-    marginals, gamma, c2 = _pair_table(state)
+    gamma, c2, rank = _pair_table(state)
     pair_cut = _cut_tangle(state, PAIR_CUT)
     if isinstance(state, PureState):
-        c2_pair_lb, effective = pair_cut, _effective_tangles(state)
+        c2_pair_lb = pair_cut
+        effective = {col: effective_three_tangle(state, pair) for col, pair in _EFFECTIVE.items()}
     else:
         c2_pair_lb, effective = tangle_lower_bound(state, PAIR_CUT), dict.fromkeys(_EFFECTIVE, 0.0)
     residuals = [_residual_single(state, i, c2) for i in range(4)]
@@ -522,9 +505,9 @@ def compute_report(state, p):
         p=p, c2_s1s2=c2[0, 1], c2_e1e2=c2[2, 3], c2_s1e2=c2[0, 3], c2_s2e1=c2[1, 2],
         gamma_s1s2=gamma[0, 1], gamma_e1e2=gamma[2, 3],
         c2_pair_lb=c2_pair_lb,
-        residual_pair=_residual_pair(pair_cut, marginals, c2),
+        residual_pair=_residual_pair(pair_cut, rank, c2),
         **{f"residual_{name.lower()}": value for name, value in zip(SUBSYSTEMS, residuals)},
-        **{col: tau for col, (_, tau) in _anchored_tangles(residuals, effective).items()},
+        **_anchored_tangles(residuals, effective),
         **effective,
         dicke_fidelity=fid, genuine4=genuine,
     )

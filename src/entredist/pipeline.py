@@ -30,8 +30,6 @@ from .measures import (
     compute_report,
     concurrence,
     decompose_pair_residual,
-    dicke_state,
-    effective_three_tangle,
     monogamy_slacks,
     tangle_pure,
     tangle_quasipure,
@@ -42,7 +40,6 @@ from .qcore import (
     _json_float,
     _json_int,
     as_matrix,
-    fidelity_pure,
     haar_state,
     numerical_rank,
     partial_trace,
@@ -402,17 +399,22 @@ def invariant_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     def add(name, err, tol):
         checks.append((name, bool(err <= tol), f"max deviation {err:.3e} (tol {tol:.0e})"))
 
-    def pair_concurrence_error(q1, q2):
-        """Largest deviation of the family's C_S1S2 at (q1, q2) from the closed form
-        2 beta sqrt((1-q1)(1-q2)) max(0, alpha - beta sqrt(q1 q2)), and of C_E1E2 from
-        the same at (1 - q1, 1 - q2)."""
-        states, err = evolve(base, q1, q2), 0.0
-        for pair, r1, r2 in ((("S1", "S2"), q1, q2), (("E1", "E2"), 1 - q1, 1 - q2)):
+    def columns(states, p):
+        """The reports of a stack of states as one TangleReport of column arrays."""
+        return TangleReport._make(map(np.array, zip(*compute_report(states, p))))
+
+    def pair_concurrence_error(q1, q2, report):
+        """Largest deviation of C_S1S2, the positive part of ``report.gamma_s1s2`` for the
+        family at (q1, q2), from the closed form 2 beta sqrt((1-q1)(1-q2)) max(0, alpha -
+        beta sqrt(q1 q2)), and of C_E1E2 from the same at (1 - q1, 1 - q2)."""
+        err = 0.0
+        for gamma, r1, r2 in ((report.gamma_s1s2, q1, q2), (report.gamma_e1e2, 1 - q1, 1 - q2)):
             closed = 2 * beta * np.sqrt((1 - r1) * (1 - r2)) * np.maximum(
                 0.0, alpha - beta * np.sqrt(r1 * r2))
-            c = concurrence(partial_trace(states, pair).entries)
-            err = max(err, float(np.abs(c - closed).max()))
+            err = max(err, float(np.abs(np.maximum(gamma, 0.0) - closed).max()))
         return err
+
+    report = columns(family, grid)  # the family checks read the numbers a sweep writes
 
     u = ad_unitary(rng.uniform(0, 1, 100))
     err = float(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(4)).max())
@@ -427,14 +429,13 @@ def invariant_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
                            - evolve(evolve(base, zero, p2), p1, zero).amplitudes).max())
     add("disjoint dilations commute", err, 1e-12)
 
-    err = float(np.abs(tangle_pure(family, PAIR_CUT) - 4.0 * (alpha * beta) ** 2).max())
+    err = float(np.abs(report.c2_pair_lb - 4.0 * (alpha * beta) ** 2).max())
     add("pair-cut tangle is conserved", err, 1e-9)
 
     worst_rank = int(numerical_rank(partial_trace(family, ("S1", "E1")), 1e-7).max())
     checks.append(("pair marginals stay rank-two", worst_rank <= 2, f"max rank {worst_rank}"))
 
-    err = float(np.maximum(effective_three_tangle(family, ("S2", "E2")),
-                           effective_three_tangle(family, ("S1", "E1"))).max())
+    err = float(np.maximum(report.tau_eff_s1e1, report.tau_eff_s2e2).max())
     add("effective-qubit tangles vanish on the family", err, 1e-6)
 
     err = max(decompose_pair_residual(random_family_state(rng)).discrepancy for _ in range(25))
@@ -447,21 +448,22 @@ def invariant_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     checks.append(("monogamy slack non-negative on random pure states",
                    worst >= -1e-6, f"min slack {worst:.3e}"))
 
-    add("closed-form pairwise concurrences", pair_concurrence_error(grid, grid), 1e-8)
+    add("closed-form pairwise concurrences", pair_concurrence_error(grid, grid, report), 1e-8)
 
     haar = PureState(np.array([haar_state(4, rng).amplitudes for _ in range(10)]))
     err = float(np.abs(tangle_quasipure(haar.density(), (0,)) - tangle_pure(haar, (0,))).max())
     add("quasi-pure estimator exact on pure states", err, 1e-8)
 
-    fid = fidelity_pure(evolve(base, 0.5, 0.5).density(), dicke_state())
-    add("Dicke fidelity at p=1/2", abs(fid - (alpha + 2 * beta) ** 2 / 6.0), 1e-9)
+    add("Dicke fidelity at p=1/2", abs(report.dicke_fidelity[20] - (alpha + 2 * beta) ** 2 / 6.0),
+        1e-9)  # grid[20] == 0.5
 
     # 5e-5: the 1e-9 eigenvalue floor of measures._wootters_roots (ROADMAP item 10) drops
     # Wootters roots below 3.2e-5, which raised C by up to 3.1e-5 over 40 000 random
     # (p1, p2); where two equal roots drop together (p1 p2 or its mirror near 3e-9) it
     # reaches 6.3e-5, which a uniform draw hits with odds near 1e-8 per point
     p1, p2 = rng.uniform(0, 1, (2, 25))
-    add("closed-form pairwise concurrences at random (p1, p2)", pair_concurrence_error(p1, p2), 5e-5)
+    add("closed-form pairwise concurrences at random (p1, p2)",
+        pair_concurrence_error(p1, p2, columns(evolve(base, p1, p2), p1)), 5e-5)
 
     # the dilations act locally on (S1,E1) and (S2,E2), so on every damped mixed row the
     # quasi-pure pair-cut tangle is the two-qubit convex roof C(rho_S)^2
@@ -475,4 +477,18 @@ def invariant_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
         rows = evolve(initial_state(InitialSpec(mixed_system=rho)), grid, grid[::-1])
         err = max(err, float(np.abs(tangle_quasipure(rows, PAIR_CUT) - concurrence(rho) ** 2).max()))
     add("quasi-pure pair-cut tangle is C(rho_S)^2 on mixed rows", err, 1e-12)
+
+    # The purity-0.82 fixture v|psi><psi| + (1 - v) I/4, v = sqrt((4P - 1)/3), damped at p has
+    # gamma_s1s2 = 2 (1 - p)(a - b p), q = (1 - v)/4, a = v alpha beta - q, b = v beta^2 + q:
+    # ESD at a/b = 0.3503, ESB at 1 - a/b (gamma_e1e2 is gamma_s1s2 at 1 - p).  3e-4: in the
+    # grid cell of width h = 1/40 holding the root, the parabola's chord (gamma'' = 4b) lies at
+    # most b h^2/2 above it, with slope at least 2 (b - a - b h): the interpolated root is off
+    # by at most b h^2 / (4 (b - a - b h)) = 2.5e-4 (a = 0.2730, b = 0.7793), ZERO_TOL by 1e-9
+    v = math.sqrt((4 * 0.82 - 1) / 3)
+    q = (1 - v) / 4
+    esd = (v * alpha * beta - q) / (v * beta ** 2 + q)
+    found = thresholds(sweep(SweepConfig(InitialSpec(mixed_system=systems[0]), tuple(grid))))
+    err = max(math.inf if found[kind] is None else abs(found[kind] - closed)
+              for kind, closed in (("esd", esd), ("esb", 1 - esd)))
+    add("mixed-fixture ESD and ESB at the closed form", err, 3e-4)
     return checks

@@ -21,7 +21,6 @@ from entredist.measures import (
     concurrence,
     decompose_pair_residual,
     monogamy_slacks,
-    residual_pair_cut,
     tangle_lower_bound,
     tangle_pure,
     tangle_quasipure,
@@ -154,7 +153,7 @@ def test_criterion_08_monogamy_property_suite():
     worst_pair = np.inf
     for _ in range(200):
         psi = random_family_state(rng)
-        worst_pair = min(worst_pair, residual_pair_cut(psi))
+        worst_pair = min(worst_pair, monogamy_slacks(psi).pair_cut)
     elapsed = time.perf_counter() - start
     ok = worst_single >= -1e-6 and worst_pair >= -1e-6 and elapsed < 60.0
     verdict(8, "monogamy slack suite", ok,

@@ -30,7 +30,6 @@ from entredist.measures import (
     dicke_witness,
     effective_three_tangle,
     monogamy_slacks,
-    residual_pair_cut,
     tangle_lower_bound,
     tangle_pure,
     tangle_quasipure,
@@ -430,25 +429,26 @@ def test_effective_three_tangle_ghz4_and_bell_pairs():
 
 # -- residuals ----------------------------------------------------------------
 
-def test_residual_pair_cut_family_endpoints():
-    assert residual_pair_cut(family_state(0.0)) == pytest.approx(0.0, abs=1e-9)
-    assert residual_pair_cut(family_state(0.5)) == pytest.approx(
+def test_pair_cut_slack_family_endpoints():
+    assert monogamy_slacks(family_state(0.0)).pair_cut == pytest.approx(0.0, abs=1e-9)
+    assert monogamy_slacks(family_state(0.5)).pair_cut == pytest.approx(
         INITIAL_TANGLE, abs=1e-9
     )
 
 
-def test_residual_pair_cut_mixed_fixture_peaks_inside_window():
+def test_pair_cut_slack_mixed_fixture_peaks_inside_window():
     system = mixed_system_with_purity(ALPHA, BETA, 0.82)
     base = initial_state(InitialSpec(mixed_system=system))
-    values = {p: residual_pair_cut(evolve(base, p, p)) for p in np.linspace(0.05, 0.95, 19)}
+    values = {p: monogamy_slacks(evolve(base, p, p)).pair_cut for p in np.linspace(0.05, 0.95, 19)}
     assert all(v > 0.0 for p, v in values.items() if P_ESD <= p <= P_ESB)
     peak = max(values, key=values.get)
     assert P_ESD - 0.1 < peak < P_ESB + 0.1
 
 
-def test_residual_pair_cut_warns_on_high_rank(rng):
+def test_report_residual_pair_warns_on_high_rank(rng):
+    # a pure Haar state's effective tangles raise instead, so it is reported as a matrix
     with pytest.warns(UserWarning, match="rank above two"):
-        residual_pair_cut(haar_state(4, rng))
+        compute_report(haar_state(4, rng).density(), 0.0)
 
 
 def test_residual_single_qubit_cases():
@@ -523,7 +523,7 @@ def test_decompose_pair_residual_reports_both_sides(monkeypatch):
     import entredist.measures as measures
 
     monkeypatch.setattr(
-        measures, "_residual_pair", lambda tangle, marginals, c2: 123.0
+        measures, "_residual_pair", lambda tangle, rank, c2: 123.0
     )
     with pytest.raises(DecompositionError, match="half-sum"):
         decompose_pair_residual(family_state(0.3))
@@ -722,20 +722,43 @@ def stacked_family(spec, steps):
     return grid, evolve(base, grid, grid), [evolve(base, p, p) for p in grid]
 
 
+def mixed_rank_stack():
+    """Random system states of ranks 1 to 4, each evolved, and a full-rank 16 x 16 state, in
+    one stack that is decomposed afresh, as a tomography sweep stacks its fits; the per-state
+    list holds each matrix decomposed alone."""
+    rng = np.random.default_rng(5)
+    ps, mats = np.array([0.2, 0.4, 0.6, 0.8, 0.0]), []
+    for rank, p in zip(range(1, 5), ps):
+        kets = np.array([haar_state(2, rng).amplitudes for _ in range(rank)])
+        weights = rng.dirichlet(np.ones(rank))
+        system = DensityMatrix(np.einsum("k,ki,kj->ij", weights, kets, kets.conj()))
+        mats.append(evolve(initial_state(InitialSpec(mixed_system=system)), p, 1 - p).entries)
+    m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    mats.append(m @ m.conj().T / np.trace(m @ m.conj().T).real)
+    stack = DensityMatrix(np.array(mats))
+    # tangle_quasipure groups a stack by the number of eigenvalues it keeps
+    assert (eig_hermitian(stack)[0] > 1e-13).sum(axis=1).tolist() == [1, 2, 3, 4, 16]
+    return ps, stack, [DensityMatrix(m) for m in mats]
+
+
 STACKED_CASES = {
-    "pure-1/7": (InitialSpec(alpha=ALPHA, beta=BETA), 201),
-    "pure-complex": (InitialSpec(alpha=np.sqrt(0.2) * np.exp(1.1j),
-                                 beta=np.sqrt(0.8) * np.exp(-0.4j)), 101),
-    "mixed-0.82": (InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, 0.82)), 51),
-    "mixed-0.9": (InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, 0.9)), 51),
+    "pure-1/7": lambda: stacked_family(InitialSpec(alpha=ALPHA, beta=BETA), 201),
+    "pure-complex": lambda: stacked_family(InitialSpec(alpha=np.sqrt(0.2) * np.exp(1.1j),
+                                                       beta=np.sqrt(0.8) * np.exp(-0.4j)), 101),
+    "mixed-0.82": lambda: stacked_family(
+        InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, 0.82)), 51),
+    "mixed-0.9": lambda: stacked_family(
+        InitialSpec(mixed_system=mixed_system_with_purity(ALPHA, BETA, 0.9)), 51),
+    "mixed-ranks": mixed_rank_stack,
 }
 
 
 @pytest.mark.parametrize("case", STACKED_CASES)
+@pytest.mark.filterwarnings("ignore:.*(rank above two|negative beyond noise)")
 def test_stacked_engine_equals_per_state_calls(case):
     # the per-state calls are the reference: a stack must reproduce them bit for bit
-    spec, steps = STACKED_CASES[case]
-    grid, stack, states = stacked_family(spec, steps)
+    grid, stack, states = STACKED_CASES[case]()
+    steps = len(grid)
     pure = isinstance(stack, PureState)
     entries = stack.amplitudes if pure else stack.entries
     assert np.array_equal(entries, [s.amplitudes if pure else s.entries for s in states])

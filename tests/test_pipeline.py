@@ -686,6 +686,20 @@ def test_invariant_check_of_the_mixed_pair_cut_tangle(monkeypatch):
     assert not ok and float(detail.split()[2]) > 0.04
 
 
+def test_invariant_check_of_the_mixed_fixture_thresholds(monkeypatch):
+    import entredist.pipeline as pipeline
+
+    name = "mixed-fixture ESD and ESB at the closed form"
+    for seed in (0, 7, 42, 2026):
+        assert _check(name, seed)[0], seed
+    # a fixture of purity 0.9 moves ESD to 0.378, off the purity-0.82 closed form (0.3503)
+    real = pipeline.mixed_system_with_purity
+    monkeypatch.setattr(pipeline, "mixed_system_with_purity",
+                        lambda alpha, beta, purity: real(alpha, beta, 0.9))
+    ok, detail = _check(name)
+    assert not ok and float(detail.split()[2]) > 0.02
+
+
 def test_invariant_check_of_the_family_concurrences_off_the_diagonal(monkeypatch):
     import entredist.pipeline as pipeline
 
