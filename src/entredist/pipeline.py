@@ -51,14 +51,11 @@ from .tomography import _checked_shots, mle_reconstruct, simulate_counts
 __all__ = [
     "SweepConfig",
     "SweepRow",
-    "CSV_COLUMNS",
     "sweep",
     "find_threshold",
     "thresholds",
     "emit_csv",
     "emit_plotdata",
-    "rows_to_json",
-    "write_manifest",
     "write_sweep",
     "invariant_checks",
 ]
@@ -274,18 +271,18 @@ def find_threshold(series, kind: str) -> float | None:
     if any(b < a for a, b in zip(ps, ps[1:])):
         raise ValueError("series must be sorted by p")
 
-    crossings = []
-    for k in range(len(ps) - 1):
-        lo, hi = vs[k], vs[k + 1]
-        if kind == "esd" and lo > ZERO_TOL >= hi:
-            frac = (lo - ZERO_TOL) / (lo - hi)
-            crossings.append(ps[k] + frac * (ps[k + 1] - ps[k]))
-        if kind == "esb" and lo <= ZERO_TOL < hi:
-            frac = (ZERO_TOL - lo) / (hi - lo)
-            crossings.append(ps[k] + frac * (ps[k + 1] - ps[k]))
-    if not crossings:
+    lo, hi = np.array(vs[:-1]), np.array(vs[1:])
+    if kind == "esd":
+        ks = np.flatnonzero((lo > ZERO_TOL) & (ZERO_TOL >= hi))[-1:]
+    else:
+        ks = np.flatnonzero((lo <= ZERO_TOL) & (ZERO_TOL < hi))[:1]
+    if not ks.size:
         return None
-    return crossings[-1] if kind == "esd" else crossings[0]
+    k = int(ks[0])
+    # interpolated in Python floats, so an infinite value gives NaN without a warning
+    lo, hi = vs[k], vs[k + 1]
+    frac = (lo - ZERO_TOL) / (lo - hi) if kind == "esd" else (ZERO_TOL - lo) / (hi - lo)
+    return ps[k] + frac * (ps[k + 1] - ps[k])
 
 
 def thresholds(rows) -> dict:

@@ -25,15 +25,11 @@ import numpy as np
 
 __all__ = [
     "SUBSYSTEMS",
-    "resolve_slots",
     "PureState",
     "DensityMatrix",
-    "qubit_count",
     "basis_state",
     "basis_index",
     "haar_state",
-    "hermitize",
-    "psd_sqrt",
     "partial_trace",
     "eig_hermitian",
     "purity",
@@ -333,8 +329,8 @@ def fidelity_pure(rho, psi: PureState):
 
 def numerical_rank(rho, eps: float):
     """Number of eigenvalues above eps times the largest eigenvalue."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     w = np.linalg.eigvalsh(hermitize(as_matrix(rho)))
     return native(np.sum(w > eps * w.max(axis=-1, keepdims=True), axis=-1))
 

@@ -28,11 +28,8 @@ import numpy as np
 from .qcore import DensityMatrix, as_matrix, hermitize
 
 __all__ = [
-    "SELECTORS",
     "SETTINGS",
-    "KETS",
     "Counts",
-    "setting_projectors",
     "simulate_counts",
     "linear_inversion",
     "project_physical",
@@ -40,7 +37,6 @@ __all__ = [
     "MleResult",
     "save_counts",
     "load_counts",
-    "save_settings_manifest",
 ]
 
 SELECTORS = ("Z", "Z'", "X", "Y")
@@ -381,11 +377,14 @@ def mle_reconstruct(
     accepted steps (projected-gradient iterations plus polish steps), or when
     a plain projected step no longer raises the likelihood at working
     precision; it warns and flags the result if the gap still exceeds
-    ``tol``.  ``max_iter=0`` returns the start; a negative ``max_iter`` or a
-    negative or non-finite ``tol`` raises ``ValueError``.
+    ``tol``.  ``max_iter=0`` returns the start; a ``max_iter`` that is not a
+    non-negative integer (a boolean is not one) or a negative or non-finite
+    ``tol`` raises ``ValueError``.
     """
     if not math.isfinite(tol) or tol < 0.0:
         raise ValueError(f"tol must be a finite non-negative number of nats, got {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be non-negative, got {max_iter!r}")
     counts, shots = count_set.counts.astype(float), float(count_set.shots)

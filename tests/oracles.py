@@ -8,8 +8,8 @@ time, the Born map goes through the dense frame of the 256 projectors built
 from them, the Born system is solved by least squares, a sweep row's record
 is a dict built from its fields, sweep records are encoded by ``json.dumps``
 with its own indentation and sweep CSVs by ``csv.writer``, the Wootters spin flip
-is the matrix product with sigma_y x sigma_y, and a partial trace permutes the
-matrix's own tensor axes.
+is the matrix product with sigma_y x sigma_y, a partial trace permutes the
+matrix's own tensor axes, and a threshold crossing is found one segment at a time.
 """
 
 import csv
@@ -22,6 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from entredist.measures import TangleReport
+from entredist.pipeline import ZERO_TOL
 from entredist.qcore import eig_hermitian
 
 
@@ -91,6 +92,25 @@ def mixed_fixture_thresholds(alpha, beta, purity) -> dict:
     q = (1 - v) / 4
     esd = (v * alpha * beta - q) / (v * beta ** 2 + q)
     return {"esd": esd, "esb": 1 - esd}
+
+
+def looped_threshold(series, kind) -> float | None:
+    """``find_threshold`` one segment at a time: every downward (ESD) or upward (ESB)
+    crossing of ``ZERO_TOL`` interpolated, and the last death or first birth kept."""
+    ps = [float(p) for p, _ in series]
+    vs = [float(v) for _, v in series]
+    crossings = []
+    for k in range(len(ps) - 1):
+        lo, hi = vs[k], vs[k + 1]
+        if kind == "esd" and lo > ZERO_TOL >= hi:
+            frac = (lo - ZERO_TOL) / (lo - hi)
+            crossings.append(ps[k] + frac * (ps[k + 1] - ps[k]))
+        if kind == "esb" and lo <= ZERO_TOL < hi:
+            frac = (ZERO_TOL - lo) / (hi - lo)
+            crossings.append(ps[k] + frac * (ps[k + 1] - ps[k]))
+    if not crossings:
+        return None
+    return crossings[-1] if kind == "esd" else crossings[0]
 
 
 def xstate_concurrence(rho: np.ndarray) -> float:

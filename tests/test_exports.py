@@ -1,6 +1,7 @@
 """Every name a module lists in ``__all__`` resolves, so no deleted name lingers, and the
-package re-exports only names its modules list, so the two lists cannot drift.  The
-README's Python examples run as written.  numpy is the only runtime dependency."""
+package star-imports its modules, so their ``__all__`` lists are the one declaration of
+what it exports.  The README's Python examples run as written.  numpy is the only
+runtime dependency."""
 
 import ast
 import importlib
@@ -23,15 +24,25 @@ def test_module_all_names_resolve(name):
     assert not missing, f"entredist.{name}.__all__ lists missing names {missing}"
 
 
-def test_package_imports_only_listed_names():
+def test_package_exports_exactly_its_modules_all_lists():
     tree = ast.parse(Path(entredist.__file__).read_text())
-    unlisted = [
-        f"{node.module}.{alias.name}"
-        for node in tree.body if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-        if alias.name not in importlib.import_module(f"entredist.{node.module}").__all__
-    ]
-    assert not unlisted, f"entredist/__init__.py imports names missing from __all__: {unlisted}"
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    not_star = [ast.unparse(node) for node in imports
+                if not (isinstance(node, ast.ImportFrom) and node.level == 1
+                        and node.module in MODULES and [a.name for a in node.names] == ["*"])]
+    assert not not_star, f"entredist/__init__.py has imports other than star imports: {not_star}"
+    lists = {node.module: importlib.import_module(f"entredist.{node.module}").__all__
+             for node in imports}
+    owners = {}
+    for module, names in lists.items():
+        for name in names:
+            owners.setdefault(name, []).append(module)
+    # within one module a repeat is a slip; across two, one star import shadows the other
+    twice = {name: modules for name, modules in owners.items() if len(modules) > 1}
+    assert not twice, f"names listed twice in the modules' __all__: {twice}"
+    public = {name for name in dir(entredist) if not name.startswith("_")}
+    assert public - set(MODULES) == set(owners), \
+        f"entredist exports {sorted(public - set(MODULES) ^ set(owners))} beyond or short of __all__"
 
 
 def test_modules_import_only_numpy_and_the_standard_library():

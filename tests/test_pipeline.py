@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import ALPHA, BETA, INITIAL_TANGLE, P_ESB, P_ESD, UNKNOWN_CONFIG_KEYS
@@ -16,6 +18,7 @@ from entredist.qcore import DensityMatrix, PureState, haar_state, save_state
 from entredist.pipeline import (
     CSV_COLUMNS,
     FIGURE_COLUMNS,
+    ZERO_TOL,
     SweepConfig,
     SweepRow,
     emit_csv,
@@ -106,6 +109,25 @@ def test_find_threshold_none_and_errors(pure_rows):
         find_threshold([(0.5, 1.0), (0.1, 1.0)], "esd")
     with pytest.raises(ValueError, match="kind"):
         find_threshold(flat, "both")
+
+
+# values around the crossing level, signed zeros and non-finite ones, so that ties with
+# ZERO_TOL, NaN comparisons and infinite spans all occur
+THRESHOLD_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, ZERO_TOL, -ZERO_TOL, 2 * ZERO_TOL, math.nan, math.inf, -math.inf]),
+    st.floats(-1.0, 1.0), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=400)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), THRESHOLD_VALUES), max_size=12),
+       st.sampled_from(["esd", "esb"]))
+def test_find_threshold_matches_the_segment_loop(points, kind):
+    ps = sorted(p for p, _ in points)
+    series = [(p, v) for p, (_, v) in zip(ps, points)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = find_threshold(series, kind)
+    assert repr(found) == repr(oracles.looped_threshold(series, kind))
 
 
 def test_dead_zone_rows(pure_rows):

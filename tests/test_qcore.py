@@ -134,8 +134,10 @@ def test_numerical_rank_cases():
     for p in (0.2, 0.5, 0.8):
         rho = partial_trace(family_state(p), ("S2", "E2"))
         assert numerical_rank(rho, 1e-7) == 2
-    with pytest.raises(ValueError):
-        numerical_rank(BELL.density(), 0.0)
+    # NaN fails every comparison, so a bare ``eps <= 0`` would pass it on to a rank of 0
+    for eps in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            numerical_rank(np.eye(4) / 4, eps)
 
 
 def test_basis_index_convention():

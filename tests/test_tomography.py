@@ -362,8 +362,12 @@ def test_mle_runs_on_experimental_like_mixed_state():
     ({"tol": float("nan")}, "tol"),
     ({"tol": float("inf")}, "tol"),
     ({"tol": -1.0}, "tol"),
-    ({"max_iter": -3}, "max_iter"),
-], ids=["tol-nan", "tol-inf", "tol-negative", "max-iter-negative"])
+    ({"max_iter": -3}, "max_iter must be non-negative"),
+    ({"max_iter": float("nan")}, "max_iter must be an integer"),
+    ({"max_iter": 2.5}, "max_iter must be an integer"),
+    ({"max_iter": True}, "max_iter must be an integer"),
+], ids=["tol-nan", "tol-inf", "tol-negative", "max-iter-negative", "max-iter-nan",
+        "max-iter-fraction", "max-iter-boolean"])
 def test_mle_refuses_arguments_that_cannot_certify(mle_arguments, match):
     counts = simulate_counts(family_state(0.5).density(), 1000, seed=3)
     with pytest.raises(ValueError, match=match):
