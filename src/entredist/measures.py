@@ -35,7 +35,6 @@ from .qcore import (
     eig_hermitian,
     fidelity_pure,
     hermitize,
-    matrix_marginal,
     native,
     numerical_rank,
     psd_sqrt,
@@ -43,7 +42,6 @@ from .qcore import (
     qubit_count,
     resolve_slots,
     state_marginal,
-    vector_marginal,
 )
 
 __all__ = [
@@ -156,14 +154,14 @@ def _side_a_slots(part, n_qubits: int) -> tuple[int, ...]:
 
 def tangle_pure(psi: PureState, part):
     """Tangle 2(1 - tr rho_A^2) of a pure state across the given bipartition."""
-    slots = _side_a_slots(part, psi.n_qubits)
-    return 2.0 * (1.0 - purity(vector_marginal(psi.amplitudes, slots)))
+    slots = _side_a_slots(part, _pure(psi, "tangle_pure").n_qubits)
+    return 2.0 * (1.0 - purity(state_marginal(psi, slots)))
 
 
 def tangle_lower_bound(rho, part):
     """Purity-gap lower bound max(0, 2[tr rho^2 - tr rho_A^2]) on the tangle (exact if pure)."""
     mat = as_matrix(rho)
-    rho_a = matrix_marginal(mat, _side_a_slots(part, qubit_count(mat.shape[-1])))
+    rho_a = state_marginal(mat, _side_a_slots(part, qubit_count(mat.shape[-1])))
     return _positive(2.0 * (purity(mat) - purity(rho_a)))
 
 
@@ -239,10 +237,9 @@ def three_tangle(psi3: PureState):
     """
     if _pure(psi3, "three_tangle").n_qubits != 3:
         raise ValueError(f"three_tangle needs a 3-qubit state, got {psi3.n_qubits}")
-    vec = psi3.amplitudes
-    one_to_rest = 4.0 * np.linalg.det(vector_marginal(vec, (0,))).real
-    c_ij = concurrence(vector_marginal(vec, (0, 1)))
-    c_ik = concurrence(vector_marginal(vec, (0, 2)))
+    one_to_rest = 4.0 * np.linalg.det(state_marginal(psi3, (0,))).real
+    c_ij = concurrence(state_marginal(psi3, (0, 1)))
+    c_ik = concurrence(state_marginal(psi3, (0, 2)))
     return _clamp_small_negative(one_to_rest - np.square(c_ij) - np.square(c_ik), "three-tangle")
 
 
@@ -260,7 +257,7 @@ def compress_pair_to_qubit(psi: PureState, pair) -> PureState:
     if len(pair_slots) != 2:
         raise ValueError(f"pair must name two distinct subsystems, got {pair!r}")
     amps = psi.amplitudes
-    rho_pair = vector_marginal(amps, pair_slots)
+    rho_pair = state_marginal(psi, pair_slots)
     w, v = eig_hermitian(rho_pair)
     high = w[..., 2] > 1e-6 * w[..., 0]
     if high.any():

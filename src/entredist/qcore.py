@@ -11,7 +11,8 @@ States and kernels take an optional leading batch axis: a stack of N states
 is one state object whose arrays have shape ``(N, ...)``, and a kernel
 returns a Python scalar for one state and an array for a stack.  Registers are
 sized by :func:`qubit_count` alone, slots permuted by :func:`cut_register` alone,
-and :func:`state_marginal` gives the marginal of either kind of state.
+and marginals taken by :func:`state_marginal` alone, for either kind of state: no
+other module calls its pure and mixed halves, :func:`vector_marginal` and :func:`matrix_marginal`.
 """
 
 from __future__ import annotations
@@ -245,14 +246,16 @@ def cut_register(vec: np.ndarray, keep) -> np.ndarray:
 
 
 def vector_marginal(vec: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
-    """Reduced density matrix of a pure state over the kept slots (slot order kept)."""
+    """Reduced density matrix of a pure state over the kept slots (slot order kept); the pure
+    half of :func:`state_marginal`, a module function because ``perfbench/tracing.py`` wraps it."""
     m = cut_register(vec, keep)
     return m @ _dagger(m)
 
 
 def matrix_marginal(mat: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     """Partial trace of a density matrix, keeping the given slots in slot order: the flat
-    matrix is a register of row then column slots, cut at the kept ones of each."""
+    matrix is a register of row then column slots, cut at the kept ones of each; the mixed
+    half of :func:`state_marginal`, a module function because ``perfbench/tracing.py`` wraps it."""
     lead, dim, d_keep = mat.shape[:-2], mat.shape[-1], 2 ** len(keep)
     n = dim.bit_length() - 1
     m = cut_register(mat.reshape(lead + (dim * dim,)), [*keep, *(n + q for q in keep)])
@@ -331,7 +334,10 @@ def numerical_rank(rho, eps: float):
     """Number of eigenvalues above eps times the largest eigenvalue."""
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    w = np.linalg.eigvalsh(hermitize(as_matrix(rho)))
+    if isinstance(rho, DensityMatrix):
+        w = rho.spectrum[0]  # decomposed once, when the state was made
+    else:
+        w = np.linalg.eigvalsh(hermitize(as_matrix(rho)))
     return native(np.sum(w > eps * w.max(axis=-1, keepdims=True), axis=-1))
 
 
@@ -382,8 +388,14 @@ def state_from_json(payload: dict):
     """Inverse of :func:`state_to_json`; the array length selects the kind.
 
     ``n_qubits`` must be a JSON integer and every ``re``/``im`` entry a JSON
-    number: booleans and numeric strings raise ``ValueError``.
+    number: booleans and numeric strings raise ``ValueError``, as does a payload that
+    is not a JSON object or lacks one of the three keys.
     """
+    if not isinstance(payload, dict):
+        raise ValueError(f"a state must be a JSON object, got a {type(payload).__name__}")
+    missing = [key for key in ("n_qubits", "re", "im") if key not in payload]
+    if missing:
+        raise ValueError(f"a state needs the keys n_qubits, re and im; missing {missing}")
     n = _json_int(payload["n_qubits"], "n_qubits")
     data = _json_floats(payload["re"], "re") + 1j * _json_floats(payload["im"], "im")
     dim = 2 ** n

@@ -545,15 +545,26 @@ def save_counts(count_set: Counts, path) -> None:
 
 
 def load_counts(path) -> Counts:
-    """The count set :func:`save_counts` wrote: every setting id once, in order, one shot number."""
+    """The count set :func:`save_counts` wrote: every setting id once, in order, one shot number.
+
+    A missing column, a short row or a cell that is not an integer raises ``ValueError``
+    naming the file.
+    """
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if [int(row["setting_id"]) for row in rows] != list(range(N_SETTINGS)):
+        reader = csv.DictReader(fh)
+        try:
+            rows = [(int(row["setting_id"]), int(row["shots"]), int(row["count"])) for row in reader]
+        except KeyError as exc:
+            raise ValueError(f"{path}: no {exc} column") from None
+        except (TypeError, ValueError) as exc:  # int() of a short row's None or of a non-integer
+            raise ValueError(f"{path}, line {reader.line_num}: a cell is missing or not an "
+                             f"integer ({exc})") from None
+    if [sid for sid, _, _ in rows] != list(range(N_SETTINGS)):
         raise ValueError(f"{path}: expected setting ids 0..{N_SETTINGS - 1} once each, in order")
-    shots = {int(row["shots"]) for row in rows}
+    shots = {n for _, n, _ in rows}
     if len(shots) != 1:
         raise ValueError(f"{path}: one shot number expected, got {sorted(shots)}")
-    return Counts(np.array([int(row["count"]) for row in rows]), shots.pop())
+    return Counts(np.array([c for _, _, c in rows]), shots.pop())
 
 
 @lru_cache(maxsize=1)

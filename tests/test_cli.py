@@ -182,6 +182,17 @@ def test_mixed_system_file_with_non_number_entries_exits_one(tmp_path, capsys):
     assert "error: invalid config: n_qubits must be an integer" in capsys.readouterr().err
 
 
+def test_mixed_system_file_without_im_exits_one_naming_it(tmp_path, capsys):
+    payload = state_to_json(basis_state("00").density())
+    del payload["im"]
+    (tmp_path / "system.json").write_text(json.dumps(payload))
+    cfg = tmp_path / "mixed.json"
+    cfg.write_text(json.dumps({"mixed_system_file": "system.json", "p_grid": {"steps": 3}}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "error: invalid config: a state needs the keys n_qubits, re and im; missing ['im']" \
+        in capsys.readouterr().err
+
+
 def test_parser_is_built_once(monkeypatch, capsys):
     import entredist.cli as cli
 

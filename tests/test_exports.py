@@ -62,6 +62,14 @@ def test_modules_import_only_numpy_and_the_standard_library():
     assert not stray, f"top-level imports beyond numpy and the standard library: {stray}"
 
 
+def test_only_qcore_names_the_marginal_halves():
+    # state_marginal is the one marginal route; its pure and mixed halves stay inside qcore
+    named = [f"{path.name}: {name}" for path in sorted(Path(entredist.__file__).parent.glob("*.py"))
+             if path.name != "qcore.py"
+             for name in ("vector_marginal", "matrix_marginal") if name in path.read_text()]
+    assert not named, f"modules other than qcore.py name a marginal half: {named}"
+
+
 def test_readme_python_blocks_run():
     # the blocks build on each other, so they share one namespace; a name the
     # package no longer has fails here instead of lingering in the docs

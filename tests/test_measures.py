@@ -198,6 +198,7 @@ PURE_ONLY = {
     "effective_three_tangle": lambda rho: effective_three_tangle(rho, ("S1", "E1")),
     "three_tangle": lambda rho: three_tangle(partial_trace(rho, ("S1", "S2", "E1"))),
     "decompose_pair_residual": decompose_pair_residual,
+    "tangle_pure": lambda rho: tangle_pure(rho, ("S1",)),
 }
 
 

@@ -140,6 +140,19 @@ def test_numerical_rank_cases():
             numerical_rank(np.eye(4) / 4, eps)
 
 
+def test_numerical_rank_of_a_density_matrix_reads_its_spectrum(monkeypatch):
+    stack = partial_trace(family_state(np.linspace(0.0, 1.0, 41)), ("S1", "E1"))
+    raw = numerical_rank(stack.entries, 1e-7)
+
+    def no_second_decomposition(*args, **kwargs):
+        raise AssertionError("eigvalsh called on a DensityMatrix")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_second_decomposition)
+    assert np.array_equal(numerical_rank(stack, 1e-7), raw) and raw.max() == 2
+    with pytest.raises(AssertionError, match="eigvalsh called"):
+        numerical_rank(stack.entries, 1e-7)  # a raw array keeps eigvalsh
+
+
 def test_basis_index_convention():
     # slot 0 (S1) is the most significant bit
     assert basis_index("1100") == 12
@@ -212,6 +225,17 @@ def test_json_roundtrip_is_bit_exact(rng):
     back = state_from_json(json.loads(json.dumps(state_to_json(rho))))
     assert isinstance(back, DensityMatrix)
     assert np.array_equal(back.entries, rho.entries)
+
+
+@pytest.mark.parametrize("payload, match", [
+    ([2, [1.0, 0.0, 0.0, 0.0], [0.0] * 4], "must be a JSON object, got a list"),
+    ({"re": [1.0, 0.0], "im": [0.0, 0.0]}, r"missing \['n_qubits'\]"),
+    ({"n_qubits": 1, "im": [0.0, 0.0]}, r"missing \['re'\]"),
+    ({"n_qubits": 1, "re": [1.0, 0.0]}, r"missing \['im'\]"),
+], ids=["list", "no-n_qubits", "no-re", "no-im"])
+def test_json_rejects_a_payload_without_the_three_keys(payload, match):
+    with pytest.raises(ValueError, match=match):
+        state_from_json(payload)
 
 
 def test_json_rejects_odd_lengths():

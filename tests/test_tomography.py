@@ -590,6 +590,19 @@ def test_load_counts_refuses_incomplete_files(tmp_path, rows, match):
         load_counts(path)
 
 
+@pytest.mark.parametrize("text, match", [
+    ("setting_id,count\n0,1\n", "no 'shots' column"),
+    ("setting_id,shots,count\n0,10,1\n1,10\n", "line 3: a cell is missing or not an integer"),
+    ("setting_id,shots,count\n0,10,1\n1,ten,1\n", "line 3: a cell is missing or not an integer"),
+], ids=["missing-column", "short-row", "non-integer-cell"])
+def test_load_counts_names_the_file_of_a_malformed_table(tmp_path, text, match):
+    path = tmp_path / "counts.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match) as info:
+        load_counts(path)
+    assert str(info.value).startswith(str(path))
+
+
 # sha256 of the settings.json every tomography round trip writes; no benchmark reads it
 SETTINGS_JSON_SHA256 = "73f0be0ea62c0d14e036e9fd5ed928713781b0427dadc8d1e8eae16ab76c1695"
 
