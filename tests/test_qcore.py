@@ -227,17 +227,6 @@ def test_json_roundtrip_is_bit_exact(rng):
     assert np.array_equal(back.entries, rho.entries)
 
 
-@pytest.mark.parametrize("payload, match", [
-    ([2, [1.0, 0.0, 0.0, 0.0], [0.0] * 4], "must be a JSON object, got a list"),
-    ({"re": [1.0, 0.0], "im": [0.0, 0.0]}, r"missing \['n_qubits'\]"),
-    ({"n_qubits": 1, "im": [0.0, 0.0]}, r"missing \['re'\]"),
-    ({"n_qubits": 1, "re": [1.0, 0.0]}, r"missing \['im'\]"),
-], ids=["list", "no-n_qubits", "no-re", "no-im"])
-def test_json_rejects_a_payload_without_the_three_keys(payload, match):
-    with pytest.raises(ValueError, match=match):
-        state_from_json(payload)
-
-
 def test_json_rejects_odd_lengths():
     with pytest.raises(ValueError):
         state_from_json({"n_qubits": 2, "re": [1.0] * 5, "im": [0.0] * 5})
@@ -252,9 +241,14 @@ def test_json_rejects_odd_lengths():
     ({"n_qubits": 2, "re": [True, 0.0, 0.0, 0.0], "im": [0.0] * 4}, "re entry"),
     ({"n_qubits": 2, "re": [1.0, 0.0, 0.0, 0.0], "im": [0.0, False, 0.0, 0.0]}, "im entry"),
     ({"n_qubits": 2, "re": "1000", "im": [0.0] * 4}, "re must be a list"),
+    ([2, [1.0, 0.0, 0.0, 0.0], [0.0] * 4], "must be a JSON object, got a list"),
+    ({"re": [1.0, 0.0], "im": [0.0, 0.0]}, r"missing \['n_qubits'\]"),
+    ({"n_qubits": 1, "im": [0.0, 0.0]}, r"missing \['re'\]"),
+    ({"n_qubits": 1, "re": [1.0, 0.0]}, r"missing \['im'\]"),
 ], ids=["issue-payload", "string-n", "bool-n", "fractional-n", "string-entry", "bool-entry",
-        "bool-im-entry", "string-re"])
+        "bool-im-entry", "string-re", "list", "no-n_qubits", "no-re", "no-im"])
 def test_json_rejects_non_number_fields(payload, match):
-    # booleans and numeric strings would otherwise convert silently (the first is |00>)
+    # booleans and numeric strings would otherwise convert silently (the first is |00>);
+    # a list or a missing key would raise TypeError or KeyError from the lookup
     with pytest.raises(ValueError, match=match):
         state_from_json(payload)
